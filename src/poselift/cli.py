@@ -58,12 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_config_file(args, parser):
-    """Fill unset options from the JSON config file; unknown keys rejected."""
-    if not args.config:
-        return args
+def _config_flags(path, parser, command) -> list[str]:
+    """The JSON config file as `command` flags; unknown keys rejected.
+
+    The flags go before the user's own arguments, so an explicit flag wins
+    even when it equals its default, and every value passes through its
+    option's type and choices. A null value leaves the option unset.
+    """
     try:
-        with open(args.config) as f:
+        with open(path) as f:
             config = json.load(f)
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}")
@@ -71,15 +74,21 @@ def _apply_config_file(args, parser):
         raise UsageError(f"config file is not valid JSON: {e}")
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    defaults = vars(parser.parse_args([args.command]))
+    defaults = vars(parser.parse_args([command]))
+    flags = []
     for key, value in config.items():
         dest = key.replace("-", "_")
         if dest not in defaults or dest in ("command", "config"):
             raise UsageError(f"unknown config key {key!r}")
-        # a flag still at its parser default is overridable by the config
-        if getattr(args, dest) == defaults[dest]:
-            setattr(args, dest, value)
-    return args
+        option = "--" + dest.replace("_", "-")
+        if isinstance(defaults[dest], bool):  # a store_true switch
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false")
+            if value:
+                flags.append(option)
+        elif value is not None:
+            flags.append(f"{option}={value}")
+    return flags
 
 
 def build_parser() -> _Parser:
@@ -377,9 +386,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser)
+        if args.config:
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, parser, args.command)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

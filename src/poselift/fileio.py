@@ -53,7 +53,12 @@ def save_poses(path, poses, frames=None) -> None:
 
 
 def load_poses(path, dim: int | None = None):
-    """Returns (frames, poses) sorted by frame index."""
+    """Returns (frames, poses) sorted by frame index.
+
+    A record that is not a JSON object with an integer frame and a
+    rectangular numeric (M, dim) joints array, or whose coordinates are not
+    all finite, raises DataFormatError naming the file and line.
+    """
     records = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -64,14 +69,21 @@ def load_poses(path, dim: int | None = None):
                 rec = json.loads(line)
                 frame = int(rec["frame"])
                 joints = np.asarray(rec["joints"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (ValueError, OverflowError, KeyError, TypeError) as e:
                 raise DataFormatError(f"{path}:{lineno}: bad pose record: {e}")
             if joints.ndim != 2 or (dim is not None and joints.shape[1] != dim):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected (M, {dim or '2|3'}) joints, "
                     f"got {joints.shape}"
                 )
-            records.append((frame, joints))
+            records.append((frame, joints, lineno))
+    # one finiteness pass over all coordinates; the per-record scan that
+    # names the line runs only when it fails
+    if records and not np.isfinite(
+        np.concatenate([r[1].ravel() for r in records])
+    ).all():
+        lineno = next(n for _, j, n in records if not np.isfinite(j).all())
+        raise DataFormatError(f"{path}:{lineno}: non-finite joint coordinates")
     records.sort(key=lambda r: r[0])
     return [r[0] for r in records], [r[1] for r in records]
 
@@ -130,6 +142,11 @@ def load_volume(path) -> HeatMapVolume:
         m, h, w = struct.unpack_from("<III", blob, 4)
         offset = 4 + 12
         count = m * h * w
+        if offset + 4 * count > len(blob):
+            raise DataFormatError(
+                f"{path}: truncated heat-map volume: header declares "
+                f"{m}x{h}x{w} floats, the file holds {len(blob)} bytes"
+            )
         maps = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
         ox, oy, side, _ = struct.unpack_from("<dddd", blob, offset)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .geometry import (
     DEGENERATE_TOL,
     DegeneratePoseError,
     as_pose2d,
-    normalize_pose,
     normalize_poses,
 )
 
@@ -95,19 +94,13 @@ class LifterModel:
             raise ValueError("need at least 2 joints to normalize")
         joints, means, scales = normalize_poses(poses)
         ok = scales > DEGENERATE_TOL
-        flat = joints.reshape(len(poses), -1)
-        if self.input_mode == INPUT_FULL:
-            extra = np.column_stack([means, scales]) / POSITION_INPUT_SCALE
-            flat = np.concatenate([flat, extra], axis=1)
+        flat = _input_rows(joints, means, scales, self.input_mode)
         flat[~ok] = 0.0
         return flat, ok
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Batched forward pass on (B, input_dim) rows."""
-        h = inputs
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        return h @ self.weights[-1] + self.biases[-1]
+        return _forward_cached(self.weights, self.biases, inputs)[0]
 
     def lift(self, pose) -> np.ndarray:
         """Zero-mean 3D pose (M, 3) in millimeters for one 2D pose."""
@@ -157,13 +150,27 @@ def init_parameters(layer_sizes, rng):
     return weights, biases
 
 
+def _input_rows(joints, means, scales, input_mode) -> np.ndarray:
+    """Network input rows (K, input_dim) of normalized poses: the (K, M, 2)
+    joints flattened, then in the full layout the mean and scale divided by
+    POSITION_INPUT_SCALE."""
+    flat = joints.reshape(len(joints), -1)
+    if input_mode != INPUT_FULL:
+        return flat
+    extra = np.column_stack([means, scales]) / POSITION_INPUT_SCALE
+    return np.concatenate([flat, extra], axis=1)
+
+
 def _forward_cached(weights, biases, inputs):
     activations = [inputs]
     h = inputs
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    out = h @ weights[-1] + biases[-1]
+    out = h @ weights[-1]
+    out += biases[-1]
     return out, activations
 
 
@@ -171,43 +178,70 @@ def loss_and_gradients(weights, biases, inputs, targets):
     """MSE over all batch elements and output dims, with analytic gradients.
 
     Returns (loss, weight_grads, bias_grads). Gradients are exact
-    backpropagation through the rectifier layers.
+    backpropagation through the rectifier layers. The arguments are never
+    written to; the in-place operations act on this call's own arrays.
     """
     out, activations = _forward_cached(weights, biases, inputs)
-    diff = out - targets
+    diff = out
+    diff -= targets
     loss = float(np.mean(diff**2))
-    delta = 2.0 * diff / diff.size
+    delta = diff
+    delta *= 2.0
+    delta /= diff.size
     w_grads = [None] * len(weights)
     b_grads = [None] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
         w_grads[layer] = activations[layer].T @ delta
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0)
+            delta = delta @ weights[layer].T
+            delta *= activations[layer] > 0
     return loss, w_grads, b_grads
 
 
-def _prepare_training_data(poses_2d, poses_3d):
-    inputs_flat, means, scales, targets, centroids = [], [], [], [], []
-    for p2, p3 in zip(poses_2d, poses_3d):
-        norm = normalize_pose(p2)
-        inputs_flat.append(norm.joints.ravel())
-        means.append(norm.mean)
-        scales.append(norm.scale)
-        p3 = np.asarray(p3, dtype=np.float64)
-        centroid = p3.mean(axis=0)
-        centroids.append(centroid)
-        targets.append(((p3 - centroid) / TARGET_SCALE).ravel())
-    return (
-        np.array(inputs_flat),
-        np.array(means),
-        np.array(scales),
-        np.array(targets),
-        np.array(centroids),
-    )
+def _stack_poses(poses, dim: int) -> np.ndarray:
+    """A finite (K, M, dim) float64 stack of K poses; ValueError otherwise."""
+    try:
+        stack = np.asarray(poses, dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"{dim}D poses are not all (M, {dim}) arrays: {e}") from e
+    if stack.ndim != 3 or stack.shape[2] != dim:
+        raise ValueError(f"expected (M, {dim}) poses, got a {stack.shape} stack")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"pose {k}: {dim}D pose contains non-finite coordinates")
+    return stack
 
 
-def train_lifter(poses_2d, poses_3d, config: LifterTrainConfig) -> LifterModel:
+def _prepare_training_data(poses_2d, poses_3d, input_mode):
+    """Network inputs (n, input_dim), centered 3D targets (n, 3M) divided by
+    TARGET_SCALE, and the removed 3D centroids (n, 3), in one batched pass.
+
+    Raises ValueError for wrongly shaped or non-finite poses and
+    DegeneratePoseError for a 2D pose whose joints coincide.
+    """
+    p2 = _stack_poses(poses_2d, 2)
+    p3 = _stack_poses(poses_3d, 3)
+    if p2.shape[1] < 2:
+        raise ValueError("need at least 2 joints to normalize")
+    if p3.shape[1] != p2.shape[1]:
+        raise ValueError(
+            f"2D poses have {p2.shape[1]} joints, 3D poses {p3.shape[1]}"
+        )
+    joints, means, scales = normalize_poses(p2)
+    ok = scales > DEGENERATE_TOL
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DegeneratePoseError(f"pose {k}: all joints coincide; scale is zero")
+    centroids = p3.mean(axis=1)
+    targets = ((p3 - centroids[:, None, :]) / TARGET_SCALE).reshape(len(p3), -1)
+    return _input_rows(joints, means, scales, input_mode), targets, centroids
+
+
+def train_lifter(
+    poses_2d, poses_3d, config: LifterTrainConfig
+) -> tuple[LifterModel, float]:
     """Fit the lifter on paired 2D/3D poses; deterministic per seed.
 
     3D targets are centered per pose; the mean of the removed centroids
@@ -220,18 +254,18 @@ def train_lifter(poses_2d, poses_3d, config: LifterTrainConfig) -> LifterModel:
     """
     if len(poses_2d) == 0 or len(poses_2d) != len(poses_3d):
         raise ValueError("need a non-empty, aligned 2D/3D pose dataset")
-    num_joints = len(as_pose2d(poses_2d[0]))
-    flat, means, scales, targets, centroids = _prepare_training_data(
-        poses_2d, poses_3d
+    inputs, targets, centroids = _prepare_training_data(
+        poses_2d, poses_3d, config.input_mode
     )
+    num_joints = targets.shape[1] // 3
+    noise_cols = 2 * num_joints
     rng = np.random.default_rng(config.seed)
-    input_dim = 2 * num_joints + (3 if config.input_mode == INPUT_FULL else 0)
-    layer_sizes = (input_dim,) + tuple(config.hidden_sizes) + (3 * num_joints,)
+    layer_sizes = (inputs.shape[1],) + tuple(config.hidden_sizes) + (3 * num_joints,)
     weights, biases = init_parameters(layer_sizes, rng)
-    w_vel = [np.zeros_like(w) for w in weights]
-    b_vel = [np.zeros_like(b) for b in biases]
+    params = weights + biases
+    velocities = [np.zeros_like(p) for p in params]
 
-    n = len(flat)
+    n = len(inputs)
     batch = min(config.batch_size, n)
     final_loss = np.inf
     for _ in range(config.epochs):
@@ -239,15 +273,11 @@ def train_lifter(poses_2d, poses_3d, config: LifterTrainConfig) -> LifterModel:
         epoch_loss = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            x = flat[idx]
+            x = inputs[idx]
             if config.noise_std > 0:
-                x = x + rng.normal(0.0, config.noise_std, size=x.shape)
-            if config.input_mode == INPUT_FULL:
-                extra = (
-                    np.concatenate([means[idx], scales[idx, None]], axis=1)
-                    / POSITION_INPUT_SCALE
+                x[:, :noise_cols] += rng.normal(
+                    0.0, config.noise_std, size=(len(idx), noise_cols)
                 )
-                x = np.concatenate([x, extra], axis=1)
             loss, w_grads, b_grads = loss_and_gradients(
                 weights, biases, x, targets[idx]
             )
@@ -256,11 +286,12 @@ def train_lifter(poses_2d, poses_3d, config: LifterTrainConfig) -> LifterModel:
                     f"non-finite loss {loss} (lr={config.learning_rate})"
                 )
             epoch_loss += loss * len(idx)
-            for i in range(len(weights)):
-                w_vel[i] = config.momentum * w_vel[i] - config.learning_rate * w_grads[i]
-                b_vel[i] = config.momentum * b_vel[i] - config.learning_rate * b_grads[i]
-                weights[i] = weights[i] + w_vel[i]
-                biases[i] = biases[i] + b_vel[i]
+            # classical momentum, v = momentum * v - lr * g, then p += v
+            for p, v, g in zip(params, velocities, w_grads + b_grads):
+                g *= config.learning_rate
+                v *= config.momentum
+                v -= g
+                p += v
         final_loss = epoch_loss / n
 
     # fold the target preconditioner into the last layer: outputs are mm

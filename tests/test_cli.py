@@ -113,6 +113,26 @@ class TestTrainLifter:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "joints", ["[[1, 2], [3]]", '[[1, 2], [3, "a"]]', "[[1, 2], [NaN, 4]]"],
+        ids=["ragged", "non-numeric", "nan"],
+    )
+    def test_malformed_pose_file_is_data_error(self, tmp_path, capsys, joints):
+        data = synth_dataset(tmp_path / "data", frames=4)
+        path = data / "poses_2d.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = f'{{"frame": 2, "joints": {joints}}}'
+        path.write_text("\n".join(lines) + "\n")
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(path),
+            "--poses-3d", str(data / "poses_3d.jsonl"),
+            "--out", str(tmp_path / "model.bin"),
+        )
+        assert code == EXIT_DATA
+        assert f"{path}:3: " in capsys.readouterr().err
+        assert not (tmp_path / "model.bin").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_exit_code(self, tmp_path):
@@ -310,6 +330,43 @@ class TestConfigFile:
             run("synth", "--config", str(config), "--frames", "3") == EXIT_OK
         )
         assert len(list((tmp_path / "d" / "volumes").iterdir())) == 3
+
+    def test_explicit_flag_at_its_default_wins(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "frames": 1, "grid-size": 8}))
+        out = tmp_path / "d"
+        code = run(
+            "synth", "--config", str(config), "--seed", "0", "--out-dir", str(out)
+        )
+        assert code == EXIT_OK
+        assert json.loads((out / "provenance.json").read_text())["seed"] == 0
+
+    def test_values_go_through_the_option_type(self, tmp_path):
+        config = tmp_path / "config.json"
+        out = tmp_path / "d"
+        config.write_text(
+            json.dumps({"out-dir": str(out), "frames": "2", "grid-size": "8",
+                        "overwrite": True})
+        )
+        assert run("synth", "--config", str(config)) == EXIT_OK
+        assert len(list((out / "volumes").iterdir())) == 2
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"bandwidth": "x"}, "argument --bandwidth: invalid float value"),
+            ({"prior": "bogus"}, "argument --prior: invalid choice"),
+            ({"num-candidates": 2.5}, "argument --num-candidates: invalid int"),
+            ({"overwrite": "yes"}, "'overwrite' must be true or false"),
+        ],
+        ids=["bad-float", "bad-choice", "float-for-int", "non-bool-switch"],
+    )
+    def test_invalid_values_are_usage_errors(self, tmp_path, capsys, value, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(value))
+        command = "synth" if "overwrite" in value else "infer"
+        assert run(command, "--config", str(config)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"

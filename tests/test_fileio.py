@@ -59,6 +59,27 @@ class TestPoses:
         with pytest.raises(DataFormatError):
             load_poses(path, dim=2)
 
+    @pytest.mark.parametrize(
+        "joints",
+        [
+            "[[1, 2], [3]]",  # ragged
+            '[[1, 2], [3, "a"]]',  # non-numeric
+            "[[1, 2], [NaN, 4]]",
+            "[[1, 2], [3, Infinity]]",
+            "[[-Infinity, 2], [3, 4]]",
+            "[[1, 2], [3, 1e999]]",  # overflows to inf
+        ],
+        ids=["ragged", "non-numeric", "nan", "infinity", "minus-infinity", "overflow"],
+    )
+    def test_malformed_joints_name_file_and_line(self, tmp_path, joints):
+        path = tmp_path / "poses.jsonl"
+        path.write_text(
+            '{"frame": 0, "joints": [[1, 2], [3, 4]]}\n\n'
+            f'{{"frame": 1, "joints": {joints}}}\n'
+        )
+        with pytest.raises(DataFormatError, match=f"{path}:3: "):
+            load_poses(path, dim=2)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "poses.jsonl"
         path.write_text('\n{"frame": 2, "joints": [[1.0, 2.0]]}\n\n')
@@ -118,6 +139,15 @@ class TestVolume:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises((DataFormatError, ValueError)):
+            load_volume(path)
+
+    def test_header_declares_more_floats_than_file_holds(self, tmp_path):
+        path = tmp_path / "vol.hmv"
+        save_volume(path, make_volume(np.random.default_rng(6)))
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (4).to_bytes(4, "little")  # 4 maps declared, 3 stored
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=str(path)):
             load_volume(path)
 
     def test_trailing_bytes(self, tmp_path):

@@ -8,6 +8,8 @@ optimizer state.
 import numpy as np
 import pytest
 
+import lifter_reference
+from poselift.geometry import DegeneratePoseError
 from poselift.lifter import (
     INPUT_FULL,
     INPUT_NORMALIZED,
@@ -314,6 +316,95 @@ class TestTraining:
         model, _ = train_lifter(poses_2d, poses_3d, config)
         assert model.input_mode == INPUT_NORMALIZED
         assert model.weights[0].shape[0] == 2 * 4
+
+
+class TestReferenceTrainer:
+    """The batched, in-place trainer against the per-pose, allocating
+    reference in tests/lifter_reference.py, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(noise_std=0.0),
+            dict(input_mode=INPUT_NORMALIZED),
+            dict(input_mode=INPUT_NORMALIZED, noise_std=0.0, hidden_sizes=(8, 4, 6)),
+            dict(batch_size=7),  # 7 does not divide 30
+            dict(batch_size=64),  # one batch holds every pair
+        ],
+        ids=["full", "full-no-noise", "normalized", "normalized-no-noise-3-hidden",
+             "ragged-batches", "single-batch"],
+    )
+    def test_bit_identical_to_reference(self, overrides):
+        rng = np.random.default_rng(40)
+        poses_2d, poses_3d = small_dataset(rng, n=30, m=5)
+        settings = dict(epochs=4, batch_size=8, hidden_sizes=(16, 12), seed=9)
+        config = LifterTrainConfig(**{**settings, **overrides})
+        model, loss = train_lifter(poses_2d, poses_3d, config)
+        weights, biases, mean_offset, ref_loss = lifter_reference.train_lifter(
+            poses_2d, poses_3d, config
+        )
+        assert loss == ref_loss
+        np.testing.assert_array_equal(model.mean_offset, mean_offset)
+        assert len(model.weights) == len(weights)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            np.testing.assert_array_equal(got, want)
+
+    def test_loss_and_gradients_match_reference(self):
+        rng = np.random.default_rng(41)
+        weights, biases = init_parameters((11, 16, 8, 12), rng)
+        biases = [rng.normal(0, 0.1, size=b.shape) for b in biases]
+        x = rng.normal(size=(9, 11))
+        y = rng.normal(size=(9, 12))
+        got = loss_and_gradients(weights, biases, x, y)
+        want = lifter_reference.loss_and_gradients(weights, biases, x, y)
+        assert got[0] == want[0]
+        for a, b in zip(got[1] + got[2], want[1] + want[2]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_loss_and_gradients_leave_arguments_unmodified(self):
+        rng = np.random.default_rng(42)
+        weights, biases = init_parameters((11, 16, 8, 12), rng)
+        biases = [rng.normal(0, 0.1, size=b.shape) for b in biases]
+        x = rng.normal(size=(9, 11))
+        y = rng.normal(size=(9, 12))
+        before = [a.copy() for a in (*weights, *biases, x, y)]
+        loss_and_gradients(weights, biases, x, y)
+        for a, b in zip((*weights, *biases, x, y), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_pose_is_value_error(self):
+        rng = np.random.default_rng(43)
+        poses_2d, poses_3d = small_dataset(rng)
+        poses_2d[2] = poses_2d[2].copy()
+        poses_2d[2][1, 0] = np.nan
+        with pytest.raises(ValueError, match="pose 2"):
+            train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=1))
+        poses_2d, poses_3d = small_dataset(rng)
+        poses_3d[4] = poses_3d[4].copy()
+        poses_3d[4][0, 2] = np.inf
+        with pytest.raises(ValueError, match="pose 4"):
+            train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("bad", ["ragged", "three-columns", "joint-count"])
+    def test_wrongly_shaped_poses_are_value_errors(self, bad):
+        rng = np.random.default_rng(44)
+        poses_2d, poses_3d = small_dataset(rng)
+        if bad == "ragged":
+            poses_2d[1] = poses_2d[1][:3]
+        elif bad == "three-columns":
+            poses_2d = [np.c_[p, p[:, :1]] for p in poses_2d]
+        else:
+            poses_3d = [p[:3] for p in poses_3d]
+        with pytest.raises(ValueError):
+            train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=1))
+
+    def test_coinciding_joints_are_degenerate(self):
+        rng = np.random.default_rng(45)
+        poses_2d, poses_3d = small_dataset(rng)
+        poses_2d[3] = np.full((4, 2), 100.0)
+        with pytest.raises(DegeneratePoseError, match="pose 3"):
+            train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=1))
 
 
 class TestSerialization:
