@@ -18,19 +18,6 @@ from .geometry import BoundingBox
 CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 class EmptyWindowError(ValueError):
     """The kernel window around a point carries zero total weight."""
@@ -545,115 +532,6 @@ def _local_maxima(sums: _RowSums, joints, x, y):
     return out
 
 
-@njit(cache=True)
-def _shadow_at(grid, x, y, r, b2):
-    h, w = grid.shape
-    bx = int(np.floor(x))
-    by = int(np.floor(y))
-    total = 0.0
-    for oy in range(-r, r + 1):
-        py = by + oy
-        if py < 0 or py >= h:
-            continue
-        for ox in range(-r, r + 1):
-            px = bx + ox
-            if px < 0 or px >= w:
-                continue
-            dx = px - x
-            dy = py - y
-            d2 = dx * dx + dy * dy
-            if d2 < b2:
-                total += grid[py, px] * (b2 - d2)
-    return total
-
-
-@njit(cache=True)
-def _local_max_kernel(grid, points, bandwidth, directions, radius):
-    r = int(np.ceil(bandwidth))
-    b2 = bandwidth * bandwidth
-    out = np.ones(len(points), dtype=np.bool_)
-    for i in range(len(points)):
-        center = _shadow_at(grid, points[i, 0], points[i, 1], r, b2)
-        limit = center * (1.0 + 1e-9)
-        for d in range(len(directions)):
-            value = _shadow_at(
-                grid,
-                points[i, 0] + radius * directions[d, 0],
-                points[i, 1] + radius * directions[d, 1],
-                r,
-                b2,
-            )
-            if value > limit:
-                out[i] = False
-                break
-    return out
-
-
-@njit(cache=True)
-def _mean_shift_converge_kernel(grid, seeds, bandwidth, tol, max_iter):
-    """Run each seed to convergence with the flat-kernel weighted mean.
-
-    Scans only the local (2*ceil(b)+1)^2 patch per step. A step smaller
-    than tol (Euclidean) ends the trajectory.
-    """
-    h, w = grid.shape
-    r = int(np.ceil(bandwidth))
-    b2 = bandwidth * bandwidth
-    tol2 = tol * tol
-    out = np.empty((len(seeds), 3), dtype=np.float64)
-    for s in range(len(seeds)):
-        x = seeds[s, 0]
-        y = seeds[s, 1]
-        for _ in range(max_iter):
-            bx = int(np.floor(x))
-            by = int(np.floor(y))
-            sw = 0.0
-            sx = 0.0
-            sy = 0.0
-            for oy in range(-r, r + 1):
-                py = by + oy
-                if py < 0 or py >= h:
-                    continue
-                for ox in range(-r, r + 1):
-                    px = bx + ox
-                    if px < 0 or px >= w:
-                        continue
-                    dx = px - x
-                    dy = py - y
-                    if dx * dx + dy * dy < b2:
-                        wgt = grid[py, px]
-                        sw += wgt
-                        sx += wgt * px
-                        sy += wgt * py
-            mx = sx / sw
-            my = sy / sw
-            step2 = (mx - x) ** 2 + (my - y) ** 2
-            x = mx
-            y = my
-            if step2 < tol2:
-                break
-        # flat-kernel density at the converged point
-        bx = int(np.floor(x))
-        by = int(np.floor(y))
-        sw = 0.0
-        for oy in range(-r, r + 1):
-            py = by + oy
-            if py < 0 or py >= h:
-                continue
-            for ox in range(-r, r + 1):
-                px = bx + ox
-                if px < 0 or px >= w:
-                    continue
-                dx = px - x
-                dy = py - y
-                if dx * dx + dy * dy < b2:
-                    sw += grid[py, px]
-        out[s, 0] = x
-        out[s, 1] = y
-        out[s, 2] = sw
-    return out
-
-
 def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[JointCandidates]:
     """Mean-shift candidate extraction for every joint of a volume at once.
 
@@ -670,9 +548,7 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     (kept points that are not local maxima of the shadow density, detected
     with probes at radius 0.5) are dropped, except the strongest point.
     The joints are independent; batching them only amortizes the
-    per-iteration overhead. With numba installed a compiled per-joint
-    engine runs instead; it skips the rounding, so its points can differ
-    in the last digits.
+    per-iteration overhead.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -683,8 +559,6 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     for j in range(m):
         if not np.any(grids[j] > 0):
             raise ValueError(f"all-zero heat map for joint {j}")
-    if _HAVE_NUMBA:
-        return _find_modes_numba(grids, bandwidth, max_candidates)
 
     masks = _window_masks(float(bandwidth))
     sums = _RowSums(grids, masks)
@@ -704,37 +578,6 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
         JointCandidates(positions=points[a:b], values=values[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-
-
-def _find_modes_numba(grids, bandwidth, max_candidates):
-    """The compiled per-joint engine, used when numba is installed."""
-    m, h, w = grids.shape
-    ys, xs = np.mgrid[0:h, 0:w]
-    pixel_pos = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    out = []
-    for j in range(m):
-        seeds = pixel_pos[grids[j].ravel() > 0]
-        res = _mean_shift_converge_kernel(
-            grids[j], seeds, float(bandwidth), CONVERGENCE_TOL, MAX_ITERATIONS
-        )
-        pts, vals = res[:, :2], res[:, 2]
-        # merge within bandwidth/2, strongest first; ties broken by (y, x)
-        order = np.lexsort((pts[:, 0], pts[:, 1], -vals))
-        pts, vals = pts[order], vals[order]
-        kept, kept_vals = _greedy_suppress(
-            pts, vals, bandwidth / 2, max_candidates
-        )
-        is_max = _local_max_kernel(
-            grids[j],
-            np.ascontiguousarray(kept),
-            float(bandwidth),
-            _PROBE_DIRECTIONS,
-            _PROBE_RADIUS,
-        )
-        is_max[0] = True  # always report at least the strongest point
-        kept, kept_vals = kept[is_max], kept_vals[is_max]
-        out.append(JointCandidates(positions=kept, values=kept_vals))
-    return out
 
 
 def find_modes(grid, bandwidth: float, max_candidates: int) -> JointCandidates:

@@ -134,6 +134,12 @@ class LifterTrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.noise_std < 0:
             raise ValueError("noise std must be non-negative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
 
 class TrainingDivergedError(RuntimeError):

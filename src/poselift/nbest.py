@@ -6,8 +6,7 @@ candidate index per joint and scores as the sum of the picked values.
 The classic view (Lawler 1972; Murty 1968) recursively partitions the
 Cartesian product of per-joint candidate sets: emit the best pose, then
 repeatedly emit the best second-best across live subsets and split that
-subset into the part containing the new pose and the remainder. The
-subset helpers below implement that view.
+subset into the part containing the new pose and the remainder.
 
 n_best_poses walks the same order with the pivot-successor rule, which
 needs no subsets: a pose's successors increment one index at a joint q
@@ -40,63 +39,12 @@ class PoseAssignment:
     score: float
 
 
-Subset = tuple[tuple[int, ...], ...]  # allowed candidate indices per joint
-
-
 def _score(values, indices) -> float:
     # plain left-to-right sum; the test oracles sum in the same order
     total = 0.0
     for i, idx in enumerate(indices):
         total += float(values[i][idx])
     return total
-
-
-def full_subset(values) -> Subset:
-    return tuple(tuple(range(len(v))) for v in values)
-
-
-def best_of_subset(values, subset: Subset) -> PoseAssignment:
-    """Highest-scoring pose of a subset: first allowed index per joint."""
-    indices = tuple(allowed[0] for allowed in subset)
-    return PoseAssignment(indices=indices, score=_score(values, indices))
-
-
-def second_best_of_subset(values, subset: Subset):
-    """Second pose of a subset in the canonical order, or None for singletons.
-
-    Returns (pose, switched_joint, new_index). The second-best is always
-    the best pose with exactly one joint moved to its next allowed
-    candidate; among equal scores the switch at the largest joint index
-    wins (it yields the lexicographically smallest index tuple).
-    """
-    best_indices = [allowed[0] for allowed in subset]
-    chosen = None
-    for i, allowed in enumerate(subset):
-        if len(allowed) < 2:
-            continue
-        indices = list(best_indices)
-        indices[i] = allowed[1]
-        indices = tuple(indices)
-        score = _score(values, indices)
-        if chosen is None or score >= chosen[0].score:
-            chosen = (PoseAssignment(indices, score), i, allowed[1])
-    return chosen
-
-
-def divide_subset(subset: Subset, joint: int, new_index: int):
-    """Split a subset on the joint switched by its second-best pose.
-
-    Returns (pinned, remainder): pinned fixes the joint to new_index and
-    contains the second-best pose as its best; remainder drops new_index
-    and keeps the parent's best. The two partition the parent exactly.
-    """
-    allowed = subset[joint]
-    if new_index not in allowed:
-        raise ValueError("new_index not allowed at this joint")
-    pinned = subset[:joint] + ((new_index,),) + subset[joint + 1 :]
-    rest = tuple(j for j in allowed if j != new_index)
-    remainder = subset[:joint] + (rest,) + subset[joint + 1 :]
-    return pinned, remainder
 
 
 def n_best_poses(values, n: int) -> list[PoseAssignment]:

@@ -149,6 +149,21 @@ class TestTrainLifter:
         assert code == EXIT_NUMERICAL
         assert not (tmp_path / "model.bin").exists()
 
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path / "data", frames=3)
+        out = tmp_path / "model.bin"
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(data / "poses_2d.jsonl"),
+            "--poses-3d", str(data / "poses_3d.jsonl"),
+            "--out", str(out),
+            "--epochs", "0",
+        )
+        assert code == EXIT_USAGE
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "model.bin.txt").exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert run("train-lifter") == EXIT_USAGE
 

@@ -241,24 +241,6 @@ class TestFindModes:
                 assert cur >= prev - 1e-9
                 prev = cur
 
-    def test_numba_and_numpy_paths_agree(self):
-        if not hm._HAVE_NUMBA:
-            pytest.skip("numba unavailable; only one path exists")
-        rng = np.random.default_rng(7)
-        grid = rng.uniform(0, 0.05, size=(32, 32)) + render_gaussian(
-            (13.5, 21.2), 32
-        ) + 1.1 * render_gaussian((25.0, 6.0), 32)
-        grids = grid[None]
-        fast = find_modes_volume(grids, 3.0, 16)[0]
-        hm._HAVE_NUMBA = False
-        try:
-            slow = find_modes_volume(grids, 3.0, 16)[0]
-        finally:
-            hm._HAVE_NUMBA = True
-        assert len(fast) == len(slow)
-        np.testing.assert_allclose(fast.positions, slow.positions, atol=1e-3)
-        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-6)
-
     def test_volume_matches_per_grid(self):
         rng = np.random.default_rng(8)
         grids = np.stack(
@@ -297,13 +279,8 @@ def assert_matches_reference(grids, bandwidth, max_candidates):
 
 
 class TestReferenceEngine:
-    """The numpy engine against the plain batched mean shift in
-    tests/modes_reference.py. Where numba is installed the numpy engine is
-    selected by hand, so these tests run everywhere."""
-
-    @pytest.fixture(autouse=True)
-    def numpy_engine(self, monkeypatch):
-        monkeypatch.setattr(hm, "_HAVE_NUMBA", False)
+    """The window-state engine against the plain batched mean shift in
+    tests/modes_reference.py."""
 
     def test_criterion_9_volumes(self):
         frames = generate_frames(

@@ -307,6 +307,15 @@ class TestTraining:
         with pytest.raises(ValueError):
             LifterTrainConfig(noise_std=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -1),
+         ("hidden_sizes", (0,)), ("hidden_sizes", (16, 0)), ("hidden_sizes", (8, -2))],
+    )
+    def test_config_rejects_sizes_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LifterTrainConfig(**{field: value})
+
     def test_normalized_input_mode(self):
         rng = np.random.default_rng(17)
         poses_2d, poses_3d = small_dataset(rng)

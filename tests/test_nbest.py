@@ -10,20 +10,13 @@ import itertools
 import numpy as np
 import pytest
 
-from poselift.nbest import (
-    PoseAssignment,
-    best_of_subset,
-    divide_subset,
-    full_subset,
-    n_best_poses,
-    second_best_of_subset,
-)
+from poselift.nbest import PoseAssignment, n_best_poses
 
 
-def oracle_sort_subset(values, subset):
-    """All poses of a subset in the canonical order, scored left to right."""
+def oracle_sort(values):
+    """All poses of the full product in the canonical order, scored left to right."""
     poses = []
-    for indices in itertools.product(*subset):
+    for indices in itertools.product(*(range(len(v)) for v in values)):
         total = 0.0
         for i, idx in enumerate(indices):
             total += float(values[i][idx])
@@ -40,117 +33,6 @@ def random_instance(rng, max_joints=4, max_candidates=5):
         v = np.sort(rng.uniform(0, 1, size=k))[::-1]
         values.append(v)
     return values
-
-
-class TestBestOfSubset:
-    def test_unconstrained_takes_top_candidates(self):
-        values = [np.array([0.9, 0.5]), np.array([0.8, 0.7])]
-        best = best_of_subset(values, full_subset(values))
-        assert best.indices == (0, 0)
-        assert best.score == pytest.approx(1.7)
-
-    def test_pinned_joint(self):
-        values = [np.array([0.9, 0.5]), np.array([0.8, 0.7, 0.2, 0.1])]
-        subset = ((0, 1), (3,))
-        best = best_of_subset(values, subset)
-        assert best.indices == (0, 3)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            values = random_instance(rng)
-            subset = tuple(
-                tuple(
-                    sorted(
-                        rng.choice(
-                            len(v), size=rng.integers(1, len(v) + 1),
-                            replace=False,
-                        )
-                    )
-                )
-                for v in values
-            )
-            assert best_of_subset(values, subset) == oracle_sort_subset(
-                values, subset
-            )[0]
-
-
-class TestSecondBestOfSubset:
-    def test_spec_example(self):
-        values = [np.array([0.9, 0.5]), np.array([0.8, 0.7])]
-        pose, joint, new_index = second_best_of_subset(
-            values, full_subset(values)
-        )
-        assert joint == 1 and new_index == 1
-        assert pose.indices == (0, 1)
-        assert pose.score == pytest.approx(1.6)
-
-    def test_singleton_subset_returns_none(self):
-        values = [np.array([0.9]), np.array([0.8])]
-        assert second_best_of_subset(values, ((0,), (0,))) is None
-
-    def test_matches_brute_force_second_element(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            values = random_instance(rng)
-            subset = full_subset(values)
-            ordered = oracle_sort_subset(values, subset)
-            found = second_best_of_subset(values, subset)
-            if len(ordered) == 1:
-                assert found is None
-            else:
-                assert found[0] == ordered[1]
-
-    def test_tie_resolves_to_lex_smallest_tuple(self):
-        # equal drops at both joints: switching the later joint gives the
-        # lexicographically smaller index tuple
-        values = [np.array([0.9, 0.7]), np.array([0.8, 0.6])]
-        pose, joint, _ = second_best_of_subset(values, full_subset(values))
-        assert pose.indices == (0, 1)
-        assert joint == 1
-
-
-class TestDivideSubset:
-    def test_cardinality_bookkeeping(self):
-        values = [np.array([0.9, 0.5]), np.array([0.8, 0.7])]
-        subset = full_subset(values)
-        _, joint, new_index = second_best_of_subset(values, subset)
-        pinned, remainder = divide_subset(subset, joint, new_index)
-        size = lambda s: int(np.prod([len(a) for a in s]))
-        assert size(pinned) == 2 and size(remainder) == 2
-        assert size(pinned) + size(remainder) == size(subset)
-
-    def test_membership_partition(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            values = random_instance(rng)
-            subset = full_subset(values)
-            found = second_best_of_subset(values, subset)
-            if found is None:
-                continue
-            _, joint, new_index = found
-            pinned, remainder = divide_subset(subset, joint, new_index)
-            parent = set(itertools.product(*subset))
-            a = set(itertools.product(*pinned))
-            b = set(itertools.product(*remainder))
-            assert a | b == parent
-            assert a & b == set()
-
-    def test_pinned_best_is_parent_second_best(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            values = random_instance(rng)
-            subset = full_subset(values)
-            found = second_best_of_subset(values, subset)
-            if found is None:
-                continue
-            pose, joint, new_index = found
-            pinned, _ = divide_subset(subset, joint, new_index)
-            assert best_of_subset(values, pinned) == pose
-
-    def test_invalid_new_index(self):
-        with pytest.raises(ValueError):
-            divide_subset(((0, 1), (0,)), 1, 3)
 
 
 class TestNBestPoses:
@@ -172,18 +54,18 @@ class TestNBestPoses:
         for _ in range(500):
             values = random_instance(rng)
             n = int(rng.integers(1, 11))
-            expected = oracle_sort_subset(values, full_subset(values))[:n]
+            expected = oracle_sort(values)[:n]
             got = n_best_poses(values, n)
             assert got == expected  # bitwise: same indices AND same scores
 
     def test_handles_exact_ties(self):
         values = [np.array([0.5, 0.5, 0.5]), np.array([0.25, 0.25])]
-        expected = oracle_sort_subset(values, full_subset(values))
+        expected = oracle_sort(values)
         assert n_best_poses(values, 10) == expected
 
     def test_ragged_candidate_counts(self):
         values = [np.array([0.7]), np.array([0.6, 0.3, 0.1]), np.array([0.5, 0.2])]
-        expected = oracle_sort_subset(values, full_subset(values))[:4]
+        expected = oracle_sort(values)[:4]
         assert n_best_poses(values, 4) == expected
 
     def test_exhausts_small_products(self):
@@ -198,39 +80,6 @@ class TestNBestPoses:
         scores = [p.score for p in poses]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert len({p.indices for p in poses}) == len(poses)
-
-    def test_partition_conservation(self):
-        # replay the partition loop with the public pieces; the live
-        # subsets always partition the full product (sizes sum to |P|),
-        # and each live subset's best pose is exactly one emitted pose
-        values = [np.array([0.9, 0.5, 0.2]), np.array([0.8, 0.7]),
-                  np.array([0.6, 0.4, 0.3])]
-        total = int(np.prod([len(v) for v in values]))
-        live = [full_subset(values)]
-        emitted = [best_of_subset(values, live[0])]
-        size = lambda s: int(np.prod([len(a) for a in s]))
-        for _ in range(total - 1):
-            best = None
-            for s in live:
-                found = second_best_of_subset(values, s)
-                if found and (
-                    best is None
-                    or (-found[0].score, found[0].indices)
-                    < (-best[1][0].score, best[1][0].indices)
-                ):
-                    best = (s, found)
-            if best is None:
-                break
-            subset, (pose, joint, new_index) = best
-            live.remove(subset)
-            pinned, remainder = divide_subset(subset, joint, new_index)
-            live.extend((pinned, remainder))
-            emitted.append(pose)
-            assert sum(size(s) for s in live) == total
-            assert sorted(p.indices for p in emitted) == sorted(
-                best_of_subset(values, s).indices for s in live
-            )
-        assert len(emitted) == total
 
     def test_validation(self):
         with pytest.raises(ValueError):
