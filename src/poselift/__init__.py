@@ -22,8 +22,6 @@ from .heatmaps import (
     JointCandidates,
     find_modes,
     find_modes_nms,
-    kde_value,
-    mean_shift_step,
     render_gaussian,
 )
 from .inference import (
@@ -31,8 +29,6 @@ from .inference import (
     InferenceConfig,
     InferenceResult,
     infer,
-    prior_orthographic,
-    prior_perspective,
 )
 from .lifter import (
     LifterModel,

@@ -168,12 +168,26 @@ def _require(args, *names):
             raise UsageError(f"--{name} is required")
 
 
+def _load_paired(path_a, dim_a, path_b, dim_b):
+    """(frames, poses_a, poses_b) of two pose files that pair up frame by
+    frame; empty files, differing frame indices or more than one joint
+    count across both files are data errors naming both files."""
+    frames_a, poses_a = fileio.load_poses(path_a, dim=dim_a)
+    frames_b, poses_b = fileio.load_poses(path_b, dim=dim_b)
+    pair = f"{path_a} and {path_b}"
+    if not frames_a and not frames_b:
+        raise DataFormatError(f"{pair} hold no pose records")
+    if frames_a != frames_b:
+        raise DataFormatError(f"{pair} do not align by frame index")
+    counts = sorted({len(p) for p in poses_a + poses_b})
+    if len(counts) > 1:
+        raise DataFormatError(f"{pair}: joint counts differ {counts}")
+    return frames_a, poses_a, poses_b
+
+
 def cmd_train_lifter(args) -> int:
     _require(args, "poses-2d", "poses-3d", "out")
-    frames_2d, poses_2d = fileio.load_poses(args.poses_2d, dim=2)
-    frames_3d, poses_3d = fileio.load_poses(args.poses_3d, dim=3)
-    if frames_2d != frames_3d:
-        raise DataFormatError("2D and 3D pose files do not align by frame index")
+    _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
     hidden = tuple(int(s) for s in str(args.hidden_sizes).split(",") if s)
     config = LifterTrainConfig(
         learning_rate=args.learning_rate,
@@ -286,10 +300,7 @@ def cmd_eval(args) -> int:
         raise UsageError("need --pred-3d/--gt-3d and/or --pred-2d/--gt-2d")
     report: dict = {}
     if have_3d:
-        frames_p, pred = fileio.load_poses(args.pred_3d, dim=3)
-        frames_g, gt = fileio.load_poses(args.gt_3d, dim=3)
-        if frames_p != frames_g:
-            raise DataFormatError("3D prediction and ground-truth frames differ")
+        _, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)
         vals_m = [mpjpe(g, p, args.root_index) for g, p in zip(gt, pred)]
         vals_s = [procrustes_error(g, p) for g, p in zip(gt, pred)]
         report["mpjpe"] = {"mean": float(np.mean(vals_m)), "per_frame": vals_m}
@@ -298,17 +309,14 @@ def cmd_eval(args) -> int:
             "per_frame": vals_s,
         }
     if have_2d:
-        frames_p, pred = fileio.load_poses(args.pred_2d, dim=2)
-        frames_g, gt = fileio.load_poses(args.gt_2d, dim=2)
-        if frames_p != frames_g:
-            raise DataFormatError("2D prediction and ground-truth frames differ")
+        frames, pred, gt = _load_paired(args.pred_2d, 2, args.gt_2d, 2)
         if args.manifest:
             boxes = _load_boxes(args.manifest)
-            missing = [f for f in frames_p if f not in boxes]
+            missing = [f for f in frames if f not in boxes]
             if missing:
                 raise DataFormatError(f"manifest lacks frames {missing[:5]}")
-            pred = [image_to_crop(p, boxes[f]) for f, p in zip(frames_p, pred)]
-            gt = [image_to_crop(g, boxes[f]) for f, g in zip(frames_g, gt)]
+            pred = [image_to_crop(p, boxes[f]) for f, p in zip(frames, pred)]
+            gt = [image_to_crop(g, boxes[f]) for f, g in zip(frames, gt)]
         vals = [error_2d(g, p) for g, p in zip(gt, pred)]
         report["error_2d"] = {"mean": float(np.mean(vals)), "per_frame": vals}
     text = json.dumps(report, indent=2) + "\n"

@@ -155,10 +155,13 @@ def load_volume(path) -> HeatMapVolume:
         raise DataFormatError(f"{path}: truncated heat-map volume: {e}")
     if offset != len(blob):
         raise DataFormatError(f"{path}: trailing bytes in heat-map volume")
-    return HeatMapVolume(
-        maps=maps.reshape(m, h, w).astype(np.float64),
-        box=BoundingBox(origin_x=ox, origin_y=oy, side=side),
-    )
+    try:
+        return HeatMapVolume(
+            maps=maps.reshape(m, h, w).astype(np.float64),
+            box=BoundingBox(origin_x=ox, origin_y=oy, side=side),
+        )
+    except ValueError as e:
+        raise DataFormatError(f"{path}: bad heat-map volume: {e}")
 
 
 def save_manifest(path, entries) -> None:
@@ -168,7 +171,11 @@ def save_manifest(path, entries) -> None:
 
 
 def load_manifest(path):
+    """(frame_index, relative_volume_path) pairs in file order; a line that
+    is not `frame<TAB>path` or repeats a frame index raises DataFormatError
+    naming the file and line."""
     entries = []
+    seen = set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -176,7 +183,11 @@ def load_manifest(path):
                 continue
             try:
                 frame, rel = line.split("\t")
-                entries.append((int(frame), rel))
+                frame = int(frame)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad manifest line")
+            if frame in seen:
+                raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
+            seen.add(frame)
+            entries.append((frame, rel))
     return entries

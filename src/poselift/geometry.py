@@ -31,6 +31,8 @@ class CameraModel:
     cy: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError("camera intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

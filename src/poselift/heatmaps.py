@@ -19,21 +19,21 @@ CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
 
 
-class EmptyWindowError(ValueError):
-    """The kernel window around a point carries zero total weight."""
-
-
 @dataclass(frozen=True)
 class HeatMapVolume:
     """Per-joint likelihood grids plus the crop box that produced them."""
 
-    maps: np.ndarray  # (M, H, W), non-negative
+    maps: np.ndarray  # (M, H, W), non-negative, H == W
     box: BoundingBox
 
     def __post_init__(self):
         maps = np.asarray(self.maps, dtype=np.float64)
         if maps.ndim != 3:
             raise ValueError("expected (M, H, W) heat-map stack")
+        if maps.shape[1] != maps.shape[2]:
+            raise ValueError(
+                f"heat maps must be square, got {maps.shape[1]}x{maps.shape[2]}"
+            )
         if not np.all(np.isfinite(maps)):
             raise ValueError("heat maps contain non-finite values")
         maps = np.clip(maps, 0.0, None)  # clamp stray negative activations
@@ -61,69 +61,6 @@ class JointCandidates:
         return len(self.values)
 
 
-def _grid_samples(grid):
-    """Flatten a grid into sample positions (n, 2) as (x, y) and weights (n,)."""
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
-    ys, xs = np.mgrid[0:h, 0:w]
-    positions = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    return positions, grid.ravel()
-
-
-def _window_patches(points, grids, joint_ids, bandwidth):
-    """Per-point kernel-window weights gathered from the local pixel patch.
-
-    Only pixels inside the (2*ceil(b)+1)^2 patch around a point can fall
-    within its kernel window, so the full grid never needs scanning.
-    grids is an (M, H, W) stack and joint_ids selects the grid per point,
-    which lets one call serve every joint of a volume at once. Returns
-    (nx, ny, weights) of shape (n_points, patch_size) with weights
-    already zeroed outside the grid and outside the window.
-    """
-    _, h, w = grids.shape
-    r = int(np.ceil(bandwidth))
-    offs_y, offs_x = np.mgrid[-r : r + 1, -r : r + 1]
-    offs_x = offs_x.ravel()[None, :]
-    offs_y = offs_y.ravel()[None, :]
-    base = np.floor(points).astype(int)
-    nx = base[:, 0:1] + offs_x
-    ny = base[:, 1:2] + offs_y
-    valid = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
-    weights = grids[joint_ids[:, None], ny.clip(0, h - 1), nx.clip(0, w - 1)]
-    d2 = (nx - points[:, 0:1]) ** 2 + (ny - points[:, 1:2]) ** 2
-    weights = weights * (valid & (d2 < bandwidth**2))
-    return nx, ny, weights
-
-
-def kde_values(grid, points, bandwidth: float) -> np.ndarray:
-    """Flat-kernel density at several sub-pixel points at once."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    grid = np.asarray(grid, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    ids = np.zeros(len(points), dtype=np.intp)
-    _, _, weights = _window_patches(points, grid[None], ids, bandwidth)
-    return weights.sum(axis=1)
-
-
-def kde_value(grid, point, bandwidth: float) -> float:
-    """Flat-kernel density at a sub-pixel point: sum of weights within radius b."""
-    return float(kde_values(grid, np.asarray(point, dtype=np.float64)[None, :], bandwidth)[0])
-
-
-def mean_shift_step(grid, point, bandwidth: float):
-    """Weighted mean of the samples within the flat kernel window around point."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    positions, weights = _grid_samples(grid)
-    point = np.asarray(point, dtype=np.float64)
-    inside = np.sum((positions - point) ** 2, axis=1) < bandwidth**2
-    total = weights[inside].sum()
-    if total <= 0:
-        raise EmptyWindowError(f"no weight within radius {bandwidth} of {point}")
-    return positions[inside].T @ weights[inside] / total
-
-
 # Mode verification: mean-shift fixed points include saddle points of the
 # density (seeds balanced on the ridge between two bumps stop there), so a
 # converged point only counts as a mode if it is a local maximum of the
@@ -141,13 +78,14 @@ _PROBE_DIRECTIONS = np.array(
 # Window states. A flat-kernel step from point p depends only on the set of
 # pixels inside the window, and that set depends only on the base pixel
 # floor(p) and the fraction f = p - floor(p). The pixel at offset (ox, oy)
-# from the base is inside when (ox - fx)^2 + (oy - fy)^2 < b^2 -- the test
-# of _window_patches in the same floating-point order, so both agree on
-# every pixel. Offsets run over -r+1..r with r = ceil(b) (offset -r is never
-# inside), and the inside offsets of each row form one interval [lo, hi]
-# with lo <= 1 and hi >= 0. A "mask" is the tuple of row intervals; the
-# (base pixel, mask) pair is the window state, and trajectories in the same
-# state take bit-identical next steps.
+# from the base is inside when (ox - fx)^2 + (oy - fy)^2 < b^2 -- the
+# window test of the reference engine (tests/modes_reference.py) in the
+# same floating-point order, so both agree on every pixel. Offsets run over
+# -r+1..r with r = ceil(b) (offset -r is never inside), and the inside
+# offsets of each row form one interval [lo, hi] with lo <= 1 and hi >= 0.
+# A "mask" is the tuple of row intervals; the (base pixel, mask) pair is
+# the window state, and trajectories in the same state take bit-identical
+# next steps.
 #
 # Fractions are looked up in a table of _FRACTION_CELLS^2 cells; a cell
 # that no pixel-boundary circle crosses (with a relative margin of

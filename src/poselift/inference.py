@@ -16,7 +16,7 @@ from .geometry import (
     DEGENERATE_TOL,
     CameraModel,
     grid_to_image,
-    normalize_pose,
+    normalize_pose,  # unused here: bench/spans.py wraps inference.normalize_pose
     normalize_poses,
     project_orthographic,
     project_perspective,
@@ -109,37 +109,6 @@ def consistency_priors(
     values = strength * np.sum(diff**2, axis=1)
     values[behind | (x_scale <= DEGENERATE_TOL) | (y_scale <= DEGENERATE_TOL)] = np.inf
     return values
-
-
-def _prior(pose_2d, model, mode, strength, camera):
-    """consistency_priors for one pose, raising where infer records +inf."""
-    lifted = model.lift(pose_2d)
-    value = consistency_priors(
-        np.asarray(pose_2d, dtype=np.float64)[None], lifted[None], model, mode, strength, camera
-    )[0]
-    if value == np.inf:  # repeat the failing step for its error
-        if mode == PRIOR_PERSPECTIVE:
-            reproj = project_perspective(lifted + model.mean_offset, camera)
-        else:
-            reproj = project_orthographic(lifted)
-        normalize_pose(reproj)
-    return float(value), lifted
-
-
-def prior_perspective(pose_2d, model: LifterModel, camera: CameraModel, strength: float):
-    """Consistency term under pinhole re-projection.
-
-    Lifts the pose, shifts by the model's mean position, projects, and
-    compares normalized input against normalized re-projection. Returns
-    (value, zero_mean_3d). Raises BehindCameraError when the absolute
-    lift has a joint at non-positive depth.
-    """
-    return _prior(pose_2d, model, PRIOR_PERSPECTIVE, strength, camera)
-
-
-def prior_orthographic(pose_2d, model: LifterModel, strength: float):
-    """Consistency term with the depth axis dropped; needs no camera."""
-    return _prior(pose_2d, model, PRIOR_ORTHOGRAPHIC, strength, None)
 
 
 def extract_candidates(volume: HeatMapVolume, config: InferenceConfig):

@@ -107,10 +107,6 @@ class LifterModel:
         out = self.forward(self.build_input(pose)[None, :])
         return out.reshape(self.num_joints, 3)
 
-    def lift_absolute(self, pose) -> np.ndarray:
-        """3D pose shifted by the mean training position."""
-        return self.lift(pose) + self.mean_offset
-
     def lift_batch(self, inputs: np.ndarray) -> np.ndarray:
         """(B, input_dim) -> (B, M, 3) zero-mean poses."""
         return self.forward(inputs).reshape(-1, self.num_joints, 3)

@@ -349,7 +349,6 @@ def run_benchmark(
                 "mpjpe_delta_mean": float(delta.mean()),
                 "ci95": [lo, hi],
             }
-    report["_model"] = model
     report["_per_config"] = per_config
     return report
 

@@ -167,6 +167,22 @@ class TestTrainLifter:
     def test_missing_required_flag(self, tmp_path):
         assert run("train-lifter") == EXIT_USAGE
 
+    def test_joint_count_mismatch_is_data_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path / "data", frames=3)
+        path_3d = data / "poses_3d.jsonl"
+        frames, poses = load_poses(path_3d, dim=3)
+        save_poses(path_3d, [p[:5] for p in poses], frames=frames)
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(data / "poses_2d.jsonl"),
+            "--poses-3d", str(path_3d),
+            "--out", str(tmp_path / "model.bin"),
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(data / "poses_2d.jsonl") in err and str(path_3d) in err
+        assert not (tmp_path / "model.bin").exists()
+
 
 @pytest.fixture()
 def pipeline(tmp_path):
@@ -265,6 +281,48 @@ class TestInfer:
         frames, _ = load_poses(out / "poses_2d.jsonl", dim=2)
         assert frames == [0, 2, 3]
 
+    def test_non_square_volume_fails_its_frame(self, pipeline):
+        tmp_path, data, model = pipeline
+        victim = data / "volumes" / "frame_000002.hmv"
+        blob = victim.read_bytes()
+        victim.write_bytes(  # header 17x32x32 -> 17x64x16, same float count
+            blob[:4] + np.array([17, 64, 16], dtype="<u4").tobytes() + blob[16:]
+        )
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        selections = [
+            json.loads(l)
+            for l in (out / "selection.jsonl").read_text().splitlines()
+        ]
+        assert selections[2]["failed"] is True
+        assert str(victim) in selections[2]["error"]
+
+    @pytest.mark.parametrize("value", ["NaN", "1e309"])
+    def test_non_finite_camera_exits_before_any_frame(
+        self, pipeline, capsys, value
+    ):
+        tmp_path, data, model = pipeline
+        camera = data / "camera.json"
+        fields = json.loads(camera.read_text())
+        fields["fx"] = value
+        camera.write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        )
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert str(camera) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_manifest_frame_is_data_error(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + lines[:1]) + "\n")
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert f"{manifest}:{len(lines) + 1}: " in capsys.readouterr().err
+        assert not (out / "selection.jsonl").exists()
+
 
 class TestEval:
     def test_perfect_predictions_score_zero(self, pipeline):
@@ -329,6 +387,33 @@ class TestEval:
 
     def test_no_inputs(self):
         assert run("eval") == EXIT_USAGE
+
+    def test_empty_pose_files(self, tmp_path, capsys):
+        (tmp_path / "a.jsonl").write_text("")
+        (tmp_path / "b.jsonl").write_text("")
+        report = tmp_path / "report.json"
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "a.jsonl"),
+            "--gt-3d", str(tmp_path / "b.jsonl"),
+            "--out", str(report),
+        )
+        assert code == EXIT_DATA
+        assert "no pose records" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_joint_count_mismatch(self, tmp_path, capsys):
+        save_poses(tmp_path / "pred.jsonl", [np.zeros((5, 3))])
+        save_poses(tmp_path / "gt.jsonl", [np.zeros((17, 3))])
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "pred.jsonl"),
+            "--gt-3d", str(tmp_path / "gt.jsonl"),
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path / "pred.jsonl") in err
+        assert str(tmp_path / "gt.jsonl") in err
 
 
 class TestConfigFile:

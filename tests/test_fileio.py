@@ -1,5 +1,8 @@
 """File format tests: pose records, camera files, heat-map volumes, manifests."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,19 @@ class TestCamera:
         with pytest.raises(DataFormatError):
             load_camera(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("fx", "NaN"), ("fx", "1e309"), ("cy", "-Infinity")]
+    )
+    def test_non_finite_intrinsics(self, tmp_path, key, value):
+        fields = {"fx": "1000", "fy": "1000", "cx": "500", "cy": "500"}
+        fields[key] = value
+        path = tmp_path / "camera.json"
+        path.write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        )
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            load_camera(path)
+
 
 def make_volume(rng, m=3, size=16):
     maps = rng.uniform(0.01, 1.0, size=(m, size, size))
@@ -157,6 +173,20 @@ class TestVolume:
         with pytest.raises(DataFormatError):
             load_volume(path)
 
+    def test_non_square_is_data_error(self, tmp_path):
+        # FORMATS.md: the crop box is square, so every map is too
+        path = tmp_path / "vol.hmv"
+        maps = np.ones((17, 32, 20), dtype="<f4")
+        path.write_bytes(
+            b"HMV1"
+            + struct.pack("<III", *maps.shape)
+            + maps.tobytes()
+            + struct.pack("<dddd", 0.0, 0.0, 256.0, 0.0)
+        )
+        with pytest.raises(DataFormatError, match=re.escape(str(path))) as e:
+            load_volume(path)
+        assert "square" in str(e.value)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -169,6 +199,12 @@ class TestManifest:
         path = tmp_path / "manifest.tsv"
         path.write_text("0\tok.hmv\nno-tab-here\n")
         with pytest.raises(DataFormatError):
+            load_manifest(path)
+
+    def test_repeated_frame(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("0\ta.hmv\n1\tb.hmv\n0\tc.hmv\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: ")):
             load_manifest(path)
 
 

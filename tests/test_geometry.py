@@ -202,8 +202,7 @@ def _numerical_similarity_error(gt, est):
         x0 = np.concatenate(
             [rng.normal(0, 1, 3), [rng.normal(0, 0.5)], rng.normal(0, 100, 3)]
         )
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 20000, "xatol": 1e-10, "fatol": 1e-12})
+        res = minimize(objective, x0, method="BFGS", options={"gtol": 1e-10})
         if best is None or res.fun < best.fun:
             best = res
     rot = Rotation.from_rotvec(best.x[:3]).as_matrix()

@@ -1,8 +1,9 @@
 """Heat-map smoothing, mean-shift mode finding, and the NMS baseline.
 
-Kernel sums and mean-shift steps are checked against brute-force window
-enumeration; mode finding against the synthetic Gaussian renderer and
-against the plain batched engine in modes_reference.py.
+The kernel sums and mean-shift steps of the plain batched engine in
+modes_reference.py are checked against brute-force window enumeration;
+mode finding against the synthetic Gaussian renderer and against that
+engine.
 """
 
 import numpy as np
@@ -13,13 +14,10 @@ import poselift.heatmaps as hm
 from poselift.geometry import BoundingBox
 from poselift.heatmaps import (
     CONVERGENCE_TOL,
-    EmptyWindowError,
     HeatMapVolume,
     find_modes,
     find_modes_nms,
     find_modes_volume,
-    kde_value,
-    mean_shift_step,
     render_gaussian,
 )
 from poselift.synth import CorruptionSpec, default_camera, default_skeleton, generate_frames
@@ -50,6 +48,20 @@ def brute_force_step(grid, point, bandwidth):
     return np.array([sx / sw, sy / sw])
 
 
+def window_sum(grid, point, bandwidth):
+    """The reference engine's flat-kernel sum at one point."""
+    points = np.asarray(point, dtype=np.float64)[None]
+    ids = np.zeros(1, dtype=np.intp)
+    return ref.window_patches(points, grid[None], ids, bandwidth)[2].sum(axis=1)[0]
+
+
+def window_step(grid, point, bandwidth):
+    """The reference engine's mean-shift step from one point."""
+    points = np.asarray(point, dtype=np.float64)[None]
+    ids = np.zeros(1, dtype=np.intp)
+    return ref.mean_shift_batch(points, grid[None], ids, bandwidth)[0]
+
+
 class TestHeatMapVolume:
     def test_clamps_negative_values(self):
         maps = np.full((1, 4, 4), -0.5)
@@ -74,22 +86,26 @@ class TestHeatMapVolume:
         with pytest.raises(ValueError):
             HeatMapVolume(maps=np.ones((4, 4)), box=BOX)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            HeatMapVolume(maps=np.ones((17, 32, 20)), box=BOX)
+
 
 class TestKdeValue:
     def test_single_pixel_in_window(self):
         grid = np.zeros((16, 16))
         grid[5, 7] = 0.75
-        assert kde_value(grid, (7.5, 5.5), 3.0) == pytest.approx(0.75)
+        assert window_sum(grid, (7.5, 5.5), 3.0) == pytest.approx(0.75)
 
     def test_empty_window_is_zero(self):
         grid = np.zeros((16, 16))
         grid[0, 0] = 1.0
-        assert kde_value(grid, (12.0, 12.0), 3.0) == 0.0
+        assert window_sum(grid, (12.0, 12.0), 3.0) == 0.0
 
     def test_uniform_patch_counts_pixels(self):
         grid = np.zeros((16, 16))
         grid[7:10, 7:10] = 1.0  # 3x3 patch of ones centered at (8, 8)
-        assert kde_value(grid, (8.0, 8.0), 3.0) == pytest.approx(9.0)
+        assert window_sum(grid, (8.0, 8.0), 3.0) == pytest.approx(9.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -97,7 +113,7 @@ class TestKdeValue:
         for _ in range(25):
             p = rng.uniform(0, 23, size=2)
             b = rng.uniform(0.5, 5.0)
-            assert kde_value(grid, p, b) == pytest.approx(
+            assert window_sum(grid, p, b) == pytest.approx(
                 brute_force_kde(grid, p, b), rel=1e-12
             )
 
@@ -105,13 +121,9 @@ class TestKdeValue:
         rng = np.random.default_rng(1)
         grid = rng.uniform(0, 1, size=(12, 12))
         for p in [(-0.4, 0.0), (11.4, 11.4), (0.0, 11.0), (5.0, -0.2)]:
-            assert kde_value(grid, p, 3.0) == pytest.approx(
+            assert window_sum(grid, p, 3.0) == pytest.approx(
                 brute_force_kde(grid, p, 3.0), rel=1e-12
             )
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            kde_value(np.ones((4, 4)), (1, 1), 0.0)
 
 
 class TestMeanShiftStep:
@@ -119,7 +131,7 @@ class TestMeanShiftStep:
         grid = np.zeros((16, 16))
         grid[10, 10] = 2.0
         np.testing.assert_allclose(
-            mean_shift_step(grid, (10.5, 9.5), 3.0), (10, 10)
+            window_step(grid, (10.5, 9.5), 3.0), (10, 10)
         )
 
     def test_symmetric_pair(self):
@@ -127,7 +139,7 @@ class TestMeanShiftStep:
         grid[10, 10] = 1.5
         grid[10, 12] = 1.5
         np.testing.assert_allclose(
-            mean_shift_step(grid, (11.0, 10.0), 3.0), (11, 10)
+            window_step(grid, (11.0, 10.0), 3.0), (11, 10)
         )
 
     def test_matches_brute_force(self):
@@ -137,16 +149,10 @@ class TestMeanShiftStep:
             p = rng.uniform(0, 19, size=2)
             b = rng.uniform(1.0, 4.0)
             np.testing.assert_allclose(
-                mean_shift_step(grid, p, b),
+                window_step(grid, p, b),
                 brute_force_step(grid, p, b),
                 rtol=1e-12,
             )
-
-    def test_empty_window_raises(self):
-        grid = np.zeros((16, 16))
-        grid[0, 0] = 1.0
-        with pytest.raises(EmptyWindowError):
-            mean_shift_step(grid, (12.0, 12.0), 2.0)
 
 
 class TestFindModes:
@@ -191,7 +197,7 @@ class TestFindModes:
         modes = find_modes(grid, 3.0, 16)
         assert np.all(np.diff(modes.values) <= 1e-12)
         for p, v in zip(modes.positions, modes.values):
-            assert v == pytest.approx(kde_value(grid, p, 3.0), rel=1e-9)
+            assert v == pytest.approx(brute_force_kde(grid, p, 3.0), rel=1e-9)
 
     def test_scaling_grid_scales_values_not_positions(self):
         grid = render_gaussian((9.0, 22.0), 32) + 0.5 * render_gaussian(
@@ -236,7 +242,7 @@ class TestFindModes:
             p = rng.uniform(2, 21, size=2)
             prev = shadow_density(grid, p, 3.0)
             for _ in range(30):
-                p = mean_shift_step(grid, p, 3.0)
+                p = window_step(grid, p, 3.0)
                 cur = shadow_density(grid, p, 3.0)
                 assert cur >= prev - 1e-9
                 prev = cur

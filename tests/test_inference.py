@@ -13,11 +13,11 @@ from poselift.heatmaps import HeatMapVolume, render_gaussian
 from poselift.inference import (
     GENERATOR_NMS,
     PRIOR_ORTHOGRAPHIC,
+    PRIOR_PERSPECTIVE,
     InferenceConfig,
+    consistency_priors,
     extract_candidates,
     infer,
-    prior_orthographic,
-    prior_perspective,
 )
 from poselift.lifter import LifterModel
 
@@ -51,17 +51,26 @@ def make_volume(joints, grid_size=32, side=256.0):
 CAMERA = CameraModel(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
 
 
+def prior(pose_2d, model, mode, strength, camera=None):
+    """(consistency_priors of one pose, its lift) with the model's lift."""
+    lifted = model.lift(pose_2d)
+    values = consistency_priors(
+        np.asarray(pose_2d)[None], lifted[None], model, mode, strength, camera
+    )
+    return float(values[0]), lifted
+
+
 class TestPriors:
     POSE_2D = np.array([(400.0, 420.0), (520.0, 400.0), (470.0, 560.0)])
 
     def test_zero_strength_perspective(self):
         model = constant_lifter(np.random.default_rng(0).normal(0, 200, (3, 3)))
-        value, _ = prior_perspective(self.POSE_2D, model, CAMERA, 0.0)
+        value, _ = prior(self.POSE_2D, model, PRIOR_PERSPECTIVE, 0.0, CAMERA)
         assert value == 0.0
 
     def test_zero_strength_orthographic(self):
         model = constant_lifter(np.random.default_rng(1).normal(0, 200, (3, 3)))
-        value, _ = prior_orthographic(self.POSE_2D, model, 0.0)
+        value, _ = prior(self.POSE_2D, model, PRIOR_ORTHOGRAPHIC, 0.0)
         assert value == 0.0
 
     def test_perspective_hand_computed(self):
@@ -70,7 +79,9 @@ class TestPriors:
         offset = np.array([0.0, 0.0, 4000.0])
         model = constant_lifter(lifted, offset)
         strength = 1.7
-        value, returned = prior_perspective(self.POSE_2D, model, CAMERA, strength)
+        value, returned = prior(
+            self.POSE_2D, model, PRIOR_PERSPECTIVE, strength, CAMERA
+        )
         # independent evaluation of the pinhole projection and Eq.-style norm
         absolute = lifted + offset
         reproj = np.stack(
@@ -92,7 +103,7 @@ class TestPriors:
         xy = 2.5 * (self.POSE_2D - self.POSE_2D.mean(axis=0)) + (40.0, -70.0)
         lifted = np.concatenate([xy, np.full((3, 1), 123.0)], axis=1)
         model = constant_lifter(lifted)
-        value, _ = prior_orthographic(self.POSE_2D, model, 1.0)
+        value, _ = prior(self.POSE_2D, model, PRIOR_ORTHOGRAPHIC, 1.0)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_orthographic_mirrored_hand_value(self):
@@ -102,7 +113,7 @@ class TestPriors:
             np.concatenate([mirrored, np.zeros((3, 1))], axis=1)
         )
         strength = 0.8
-        value, _ = prior_orthographic(self.POSE_2D, model, strength)
+        value, _ = prior(self.POSE_2D, model, PRIOR_ORTHOGRAPHIC, strength)
         # mirroring commutes with normalization, so the discrepancy is 2x
         # the x-components: sum of (2 * x)^2
         expected = strength * np.sum((2.0 * norm[:, 0]) ** 2)
@@ -113,16 +124,14 @@ class TestPriors:
         for _ in range(20):
             model = constant_lifter(rng.normal(0, 300, (3, 3)))
             pose = rng.uniform(100, 900, (3, 2))
-            vp, _ = prior_perspective(pose, model, CAMERA, 1.0)
-            vo, _ = prior_orthographic(pose, model, 1.0)
+            vp, _ = prior(pose, model, PRIOR_PERSPECTIVE, 1.0, CAMERA)
+            vo, _ = prior(pose, model, PRIOR_ORTHOGRAPHIC, 1.0)
             assert vp >= 0.0 and vo >= 0.0
 
-    def test_behind_camera_raises(self):
-        from poselift.geometry import BehindCameraError
-
+    def test_behind_camera_is_infinite(self):
         model = constant_lifter(np.zeros((3, 3)), mean_offset=(0, 0, -10.0))
-        with pytest.raises(BehindCameraError):
-            prior_perspective(self.POSE_2D, model, CAMERA, 1.0)
+        value, _ = prior(self.POSE_2D, model, PRIOR_PERSPECTIVE, 1.0, CAMERA)
+        assert value == np.inf
 
 
 class TestConfig:

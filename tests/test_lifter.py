@@ -131,34 +131,6 @@ class TestForward:
                 np.testing.assert_array_equal(inputs[k], model.build_input(poses[k]))
 
 
-class TestLiftAbsolute:
-    def test_zero_offset_identical(self):
-        rng = np.random.default_rng(6)
-        model = make_model(rng)
-        object.__setattr__(model, "mean_offset", np.zeros(3))
-        pose = random_pose2d(rng)
-        np.testing.assert_array_equal(model.lift_absolute(pose), model.lift(pose))
-
-    def test_difference_is_offset(self):
-        rng = np.random.default_rng(7)
-        model = make_model(rng)
-        pose = random_pose2d(rng)
-        np.testing.assert_allclose(
-            model.lift_absolute(pose) - model.lift(pose),
-            np.broadcast_to(model.mean_offset, (3, 3)),
-            atol=1e-12,
-        )
-
-    def test_depth_shift(self):
-        rng = np.random.default_rng(8)
-        model = make_model(rng)
-        object.__setattr__(model, "mean_offset", np.array([0.0, 0.0, 4000.0]))
-        pose = random_pose2d(rng)
-        np.testing.assert_allclose(
-            model.lift_absolute(pose)[:, 2] - model.lift(pose)[:, 2], 4000.0
-        )
-
-
 class TestGradients:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(9)
