@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ModelFormatError, FileNotFoundError, OSError) as e:
+    except (DataFormatError, ModelFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as e:

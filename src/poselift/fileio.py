@@ -56,10 +56,12 @@ def load_poses(path, dim: int | None = None):
     """Returns (frames, poses) sorted by frame index.
 
     A record that is not a JSON object with an integer frame and a
-    rectangular numeric (M, dim) joints array, or whose coordinates are not
-    all finite, raises DataFormatError naming the file and line.
+    rectangular numeric (M, dim) joints array, whose coordinates are not
+    all finite, or that repeats a frame index raises DataFormatError naming
+    the file and line.
     """
     records = []
+    seen = set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -76,6 +78,9 @@ def load_poses(path, dim: int | None = None):
                     f"{path}:{lineno}: expected (M, {dim or '2|3'}) joints, "
                     f"got {joints.shape}"
                 )
+            if frame in seen:
+                raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
+            seen.add(frame)
             records.append((frame, joints, lineno))
     # one finiteness pass over all coordinates; the per-record scan that
     # names the line runs only when it fails

@@ -46,6 +46,8 @@ class BoundingBox:
     side: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.origin_x, self.origin_y, self.side])):
+            raise ValueError("box origin and side must be finite")
         if self.side <= 0:
             raise ValueError("box side must be positive")
 

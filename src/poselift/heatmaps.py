@@ -285,25 +285,6 @@ class _RowSums:
         # the quotient sum(w * x) / sum(w) over absolute coordinates
         return (bx * weight + total.imag) / weight, (by * weight + sum_y) / weight, weight
 
-    def seed_step(self, seeds):
-        """step() for the integer points where seeds (m, h, w) is True.
-
-        Every seed has fraction 0, so all share one mask, and its row sums
-        are whole shifted planes."""
-        m, h, w = seeds.shape
-        r = self.masks.r
-        planes = self.sums.reshape(len(self.sums), m, self.height, self.width)
-        seed_rows = self.masks.rows[self.masks.seed_mask]
-        total, sum_y = 0, 0
-        for oy, plane in zip(self.masks.offsets, np.searchsorted(self.intervals, seed_rows)):
-            rows = planes[plane, :, r + oy : r + oy + h, 1 : 1 + w]
-            total = total + rows
-            sum_y = sum_y + rows.real * oy
-        _, by, bx = np.nonzero(seeds)
-        total, sum_y = total[seeds], sum_y[seeds]
-        weight = total.real
-        return (bx * weight + total.imag) / weight, (by * weight + sum_y) / weight, weight
-
     def shadow(self, joints, x, y):
         """Shadow density sum w * (b^2 - d^2) over the window of each point."""
         bx, by, mask_ids = self.masks.states(x, y)
@@ -341,43 +322,35 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
     recorded points are merged by state.
     """
     joints, by, bx = np.nonzero(grids > 0)
-    tx, ty, weight = sums.seed_step(grids > 0)
     x, y = bx.astype(np.float64), by.astype(np.float64)
-    key = sums.cells(joints, bx, by) * _MASK_SLOTS + masks.seed_mask
-    # per recorded point: state key, target, the point the step left from
-    # and the density of its window
-    record = [[] for _ in range(6)]
+    # seeds sit on pixels, all in the seed mask: no states() lookup, whose
+    # (0, 0) cell is unsure at integer bandwidths
+    mask_ids = np.full(len(x), masks.seed_mask)
+    record = [[], [], []]  # per recorded point: state key and target
     for step in range(MAX_ITERATIONS):
         if step:
             bx, by, mask_ids = masks.states(x, y)
-            cells = sums.cells(joints, bx, by)
-            key = cells * _MASK_SLOTS + mask_ids
-            tx, ty, weight = sums.step(cells, bx, by, mask_ids)
+        cells = sums.cells(joints, bx, by)
+        key = cells * _MASK_SLOTS + mask_ids
+        tx, ty, _ = sums.step(cells, bx, by, mask_ids)
         dx, dy = tx - x, ty - y
         moved = dx * dx + dy * dy >= _MOVED_D2
         stop, go = np.flatnonzero(~moved), np.flatnonzero(moved)
-        for column, values in zip(record, (key, tx, ty, x, y, weight)):
+        for column, values in zip(record, (key, tx, ty)):
             column.append(values.take(stop))
         x, y = _round(tx.take(go)), _round(ty.take(go))
         joints = joints.take(go)
         if len(go) == 0:
             break
     else:  # at the iteration cap: record the rest where they stand
-        unknown = np.full(len(go), np.nan)
-        for column, values in zip(record, (key.take(go), x, y, unknown, unknown, unknown)):
+        for column, values in zip(record, (key.take(go), x, y)):
             column.append(values)
-    keys, tx, ty, x0, y0, values = (np.concatenate(c) for c in record)
+    keys, tx, ty = (np.concatenate(c) for c in record)
     first = np.unique(keys, return_index=True)[1]
     x, y = _round(tx[first]), _round(ty[first])
     joints = keys[first] // (_MASK_SLOTS * sums.height * sums.width)
-    # a point that rounds back to where its step left from lies in the
-    # window just summed; the others get their density summed anew
-    values = values[first]
-    moved = np.flatnonzero((x != x0[first]) | (y != y0[first]))
-    if len(moved):
-        bx, by, mask_ids = masks.states(x[moved], y[moved])
-        cells = sums.cells(joints[moved], bx, by)
-        values[moved] = sums.step(cells, bx, by, mask_ids)[2]
+    bx, by, mask_ids = masks.states(x, y)
+    values = sums.step(sums.cells(joints, bx, by), bx, by, mask_ids)[2]
     return x, y, joints, values
 
 

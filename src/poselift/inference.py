@@ -105,7 +105,7 @@ def consistency_priors(
         reproj = project_orthographic(lifted)
     x_norm, _, x_scale = normalize_poses(poses_2d)
     y_norm, _, y_scale = normalize_poses(reproj)
-    diff = (x_norm - y_norm).reshape(len(poses_2d), -1)
+    diff = (x_norm - y_norm).reshape(len(poses_2d), 2 * poses_2d.shape[1])
     values = strength * np.sum(diff**2, axis=1)
     values[behind | (x_scale <= DEGENERATE_TOL) | (y_scale <= DEGENERATE_TOL)] = np.inf
     return values
@@ -149,17 +149,12 @@ def infer(
     per_joint = extract_candidates(volume, config)
     assignments = n_best_poses([c.values for c in per_joint], config.num_candidates)
 
-    # every candidate pose with one gather: row i*stride + idx holds joint i's
-    # candidate idx
-    stride = max(len(c) for c in per_joint)
-    positions = np.zeros((len(per_joint), stride, 2))
-    for i, c in enumerate(per_joint):
-        positions[i, : len(c)] = c.positions
+    # every candidate pose with one gather: joint i's candidate idx is row
+    # starts[i] + idx of the joints' concatenated positions
+    positions = np.concatenate([c.positions for c in per_joint])
+    starts = np.cumsum([0] + [len(c) for c in per_joint[:-1]])
     indices = np.array([a.indices for a in assignments])
-    flat = indices + stride * np.arange(len(per_joint))
-    poses_img = grid_to_image(
-        positions.reshape(-1, 2)[flat], volume.box, volume.grid_size
-    )
+    poses_img = grid_to_image(positions[indices + starts], volume.box, volume.grid_size)
 
     if config.prior_strength == 0:
         priors = np.zeros(len(assignments))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write_bytes
 from .geometry import (
     DEGENERATE_TOL,
     DegeneratePoseError,
@@ -324,8 +325,6 @@ def save_model(model: LifterModel, path) -> None:
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     payload = b"".join(parts)
-    from .fileio import atomic_write_bytes
-
     atomic_write_bytes(path, payload + hashlib.sha256(payload).digest())
 
 
@@ -340,12 +339,19 @@ def load_model(path) -> LifterModel:
     if payload[:4] != MODEL_MAGIC:
         raise ModelFormatError("bad magic; not a lifter model file")
     offset = 4
-    version, num_joints, mode_flag, n_sizes = struct.unpack_from(
-        "<IIBI", payload, offset
-    )
+    try:
+        version, num_joints, mode_flag, n_sizes = struct.unpack_from(
+            "<IIBI", payload, offset
+        )
+    except struct.error:
+        raise ModelFormatError("model file truncated inside header")
     offset += struct.calcsize("<IIBI")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
+    if n_sizes < 2:
+        raise ModelFormatError(f"model file declares {n_sizes} layer sizes, need 2 or more")
+    if offset + 4 * n_sizes + 24 > len(payload):
+        raise ModelFormatError("model file truncated inside layer sizes")
     sizes = struct.unpack_from(f"<{n_sizes}I", payload, offset)
     offset += 4 * n_sizes
     mean_offset = np.frombuffer(payload, dtype="<f8", count=3, offset=offset).copy()
@@ -365,10 +371,13 @@ def load_model(path) -> LifterModel:
         biases.append(b)
     if offset != len(payload):
         raise ModelFormatError("trailing bytes in model file")
-    return LifterModel(
-        num_joints=num_joints,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        mean_offset=mean_offset,
-        input_mode=INPUT_FULL if mode_flag else INPUT_NORMALIZED,
-    )
+    try:
+        return LifterModel(
+            num_joints=num_joints,
+            weights=tuple(weights),
+            biases=tuple(biases),
+            mean_offset=mean_offset,
+            input_mode=INPUT_FULL if mode_flag else INPUT_NORMALIZED,
+        )
+    except ValueError as e:
+        raise ModelFormatError(f"bad model file: {e}")

@@ -23,7 +23,7 @@ from .geometry import (
 )
 from .heatmaps import HeatMapVolume, render_gaussian
 from .inference import InferenceConfig, infer
-from .lifter import LifterModel, LifterTrainConfig, train_lifter
+from .lifter import LifterTrainConfig, train_lifter
 
 
 @dataclass(frozen=True)
@@ -295,13 +295,12 @@ def run_benchmark(
     seed: int,
     corruption: CorruptionSpec = CorruptionSpec(),
     train_config: LifterTrainConfig = LifterTrainConfig(),
-    model: LifterModel | None = None,
     baseline: str | None = None,
     depth_range=(3000.0, 6000.0),
 ) -> dict:
-    """Train (unless given a model), infer with each config on a shared test
-    split, and report the three metrics plus a bootstrap interval for the
-    paired MPJPE delta against the named baseline config."""
+    """Train a lifter, infer with each config on a shared test split, and
+    report the three metrics plus a bootstrap interval for the paired MPJPE
+    delta against the named baseline config."""
     rng = np.random.default_rng(seed)
     train_seed, test_seed, lifter_seed, boot_seed = rng.integers(0, 2**31, size=4)
 
@@ -311,17 +310,15 @@ def run_benchmark(
         "n_test": n_test,
         "configs": {},
     }
-    if model is None:
-        train_frames = generate_frames(
-            skeleton, camera, n_train, CorruptionSpec(), int(train_seed),
-            depth_range=depth_range,
-        )
-        model, final_loss = train_lifter(
-            [f.pose_2d for f in train_frames],
-            [f.pose_3d for f in train_frames],
-            replace(train_config, seed=int(lifter_seed)),
-        )
-        report["train_loss"] = final_loss
+    train_frames = generate_frames(
+        skeleton, camera, n_train, CorruptionSpec(), int(train_seed),
+        depth_range=depth_range,
+    )
+    model, report["train_loss"] = train_lifter(
+        [f.pose_2d for f in train_frames],
+        [f.pose_3d for f in train_frames],
+        replace(train_config, seed=int(lifter_seed)),
+    )
 
     test_frames = generate_frames(
         skeleton, camera, n_test, corruption, int(test_seed),

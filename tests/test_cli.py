@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(): exit codes, reproducibility,
 config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -313,6 +314,29 @@ class TestInfer:
         assert str(camera) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_box_fails_its_frame(self, pipeline):
+        tmp_path, data, model = pipeline
+        victim = data / "volumes" / "frame_000003.hmv"
+        blob = bytearray(victim.read_bytes())
+        blob[-16:-8] = np.array([np.nan], dtype="<f8").tobytes()  # box side
+        victim.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        selections = [
+            json.loads(l)
+            for l in (out / "selection.jsonl").read_text().splitlines()
+        ]
+        assert selections[3]["failed"] is True
+        assert str(victim) in selections[3]["error"]
+
+    def test_malformed_model_is_data_error(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        model = tmp_path / "bad.bin"
+        model.write_bytes(b"PLFT" + hashlib.sha256(b"PLFT").digest())
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert "model file" in capsys.readouterr().err
+
     def test_repeated_manifest_frame_is_data_error(self, pipeline, capsys):
         tmp_path, data, model = pipeline
         manifest = data / "manifest.txt"
@@ -384,6 +408,17 @@ class TestEval:
             "--gt-3d", str(tmp_path / "b.jsonl"),
         )
         assert code == EXIT_DATA
+
+    def test_repeated_frame_is_data_error(self, tmp_path, capsys):
+        save_poses(tmp_path / "a.jsonl", [np.zeros((3, 3)), np.ones((3, 3))], frames=[0, 0])
+        save_poses(tmp_path / "b.jsonl", [np.zeros((3, 3))], frames=[0])
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "a.jsonl"),
+            "--gt-3d", str(tmp_path / "b.jsonl"),
+        )
+        assert code == EXIT_DATA
+        assert f"{tmp_path / 'a.jsonl'}:2: " in capsys.readouterr().err
 
     def test_no_inputs(self):
         assert run("eval") == EXIT_USAGE

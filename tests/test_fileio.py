@@ -83,6 +83,16 @@ class TestPoses:
         with pytest.raises(DataFormatError, match=f"{path}:3: "):
             load_poses(path, dim=2)
 
+    def test_repeated_frame_names_file_and_line(self, tmp_path):
+        path = tmp_path / "poses.jsonl"
+        path.write_text(
+            '{"frame": 0, "joints": [[1, 2]]}\n'
+            '{"frame": 1, "joints": [[3, 4]]}\n'
+            '{"frame": 0, "joints": [[5, 6]]}\n'
+        )
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: ")):
+            load_poses(path, dim=2)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "poses.jsonl"
         path.write_text('\n{"frame": 2, "joints": [[1.0, 2.0]]}\n\n')
@@ -186,6 +196,21 @@ class TestVolume:
         with pytest.raises(DataFormatError, match=re.escape(str(path))) as e:
             load_volume(path)
         assert "square" in str(e.value)
+
+
+    @pytest.mark.parametrize("box", [(np.nan, 0.0, 256.0), (0.0, np.inf, 256.0), (0.0, 0.0, np.nan)])
+    def test_non_finite_box_is_data_error(self, tmp_path, box):
+        path = tmp_path / "vol.hmv"
+        maps = np.ones((3, 16, 16), dtype="<f4")
+        path.write_bytes(
+            b"HMV1"
+            + struct.pack("<III", *maps.shape)
+            + maps.tobytes()
+            + struct.pack("<dddd", *box, 0.0)
+        )
+        with pytest.raises(DataFormatError, match=re.escape(str(path))) as e:
+            load_volume(path)
+        assert "finite" in str(e.value)
 
 
 class TestManifest:

@@ -320,6 +320,13 @@ class TestGridImageMapping:
         with pytest.raises(ValueError):
             BoundingBox(origin_x=0, origin_y=0, side=0)
 
+    @pytest.mark.parametrize("field", ["origin_x", "origin_y", "side"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box(self, field, value):
+        fields = {"origin_x": 0.0, "origin_y": 0.0, "side": 256.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            BoundingBox(**fields)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -133,6 +133,12 @@ class TestPriors:
         value, _ = prior(self.POSE_2D, model, PRIOR_PERSPECTIVE, 1.0, CAMERA)
         assert value == np.inf
 
+    @pytest.mark.parametrize("mode, camera", [(PRIOR_PERSPECTIVE, CAMERA), (PRIOR_ORTHOGRAPHIC, None)])
+    def test_empty_batch(self, mode, camera):
+        model = constant_lifter(np.zeros((3, 3)))
+        values = consistency_priors(np.zeros((0, 3, 2)), np.zeros((0, 3, 3)), model, mode, 1.0, camera)
+        assert values.shape == (0,)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -208,6 +214,14 @@ class TestInfer:
         result = infer(self.volume, model, config, CAMERA)
         assert all(c.failed for c in result.candidates)
         assert all(np.isinf(c.energy) for c in result.candidates)
+
+    def test_no_normalizable_candidate(self):
+        # every joint's map is the same bump: each candidate pose has all
+        # joints at one point, so no prior can be evaluated
+        volume = make_volume([(10.0, 12.0)] * 3)
+        result = infer(volume, self.model, InferenceConfig(num_candidates=4), CAMERA)
+        assert result.chosen_index == 0
+        assert all(c.prior == np.inf for c in result.candidates)
 
     def test_orthographic_needs_no_camera(self):
         config = InferenceConfig(

@@ -5,6 +5,9 @@ checked by memorization and determinism contracts, not by inspecting the
 optimizer state.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -442,6 +445,25 @@ class TestSerialization:
         import hashlib
 
         payload = blob[:-32] + b"\x00" * 8  # extra bytes, checksum fixed up
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    # header fields after the magic: version, num_joints, input mode, n_sizes
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"PLFT",
+            b"PLFT" + struct.pack("<IIBI", 1, 4, 1, 1) + struct.pack("<I", 11) + bytes(24),
+            b"PLFT" + struct.pack("<IIBI", 1, 4, 1, 10**6),
+            # 4 joints in full mode take 11 inputs, not 5
+            b"PLFT" + struct.pack("<IIBI", 1, 4, 1, 2) + struct.pack("<II", 5, 12)
+            + bytes(24 + 8 * (5 * 12 + 12)),
+        ],
+        ids=["magic-only", "one-layer-size", "huge-size-count", "sizes-rejected"],
+    )
+    def test_malformed_container_with_valid_checksum(self, tmp_path, payload):
+        path = tmp_path / "model.bin"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(ModelFormatError):
             load_model(path)
