@@ -37,7 +37,6 @@ from .lifter import (
 )
 from .synth import (
     CorruptionSpec,
-    SyntheticFrame,
     default_camera,
     default_skeleton,
     generate_frames,

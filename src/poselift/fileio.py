@@ -37,6 +37,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def _read_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, read one line at a
+    time with universal newlines; a line that is not UTF-8 raises
+    DataFormatError naming the file and line."""
+    # undecodable bytes come through as lone surrogates, which no UTF-8
+    # text holds, so encoding the line back finds them
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -62,26 +77,25 @@ def load_poses(path, dim: int | None = None):
     """
     records = []
     seen = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                frame = int(rec["frame"])
-                joints = np.asarray(rec["joints"], dtype=np.float64)
-            except (ValueError, OverflowError, KeyError, TypeError) as e:
-                raise DataFormatError(f"{path}:{lineno}: bad pose record: {e}")
-            if joints.ndim != 2 or (dim is not None and joints.shape[1] != dim):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected (M, {dim or '2|3'}) joints, "
-                    f"got {joints.shape}"
-                )
-            if frame in seen:
-                raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
-            seen.add(frame)
-            records.append((frame, joints, lineno))
+    for lineno, line in _read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            frame = int(rec["frame"])
+            joints = np.asarray(rec["joints"], dtype=np.float64)
+        except (ValueError, OverflowError, KeyError, TypeError) as e:
+            raise DataFormatError(f"{path}:{lineno}: bad pose record: {e}")
+        if joints.ndim != 2 or (dim is not None and joints.shape[1] != dim):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected (M, {dim or '2|3'}) joints, "
+                f"got {joints.shape}"
+            )
+        if frame in seen:
+            raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
+        seen.add(frame)
+        records.append((frame, joints, lineno))
     # one finiteness pass over all coordinates; the per-record scan that
     # names the line runs only when it fails
     if records and not np.isfinite(
@@ -104,7 +118,7 @@ def save_camera(path, camera: CameraModel) -> None:
 
 
 def load_camera(path) -> CameraModel:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             rec = json.load(f)
             return CameraModel(
@@ -113,7 +127,7 @@ def load_camera(path) -> CameraModel:
                 cx=float(rec["cx"]),
                 cy=float(rec["cy"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: bad camera file: {e}")
 
 
@@ -181,18 +195,17 @@ def load_manifest(path):
     naming the file and line."""
     entries = []
     seen = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                frame, rel = line.split("\t")
-                frame = int(frame)
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad manifest line")
-            if frame in seen:
-                raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
-            seen.add(frame)
-            entries.append((frame, rel))
+    for lineno, line in _read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            frame, rel = line.split("\t")
+            frame = int(frame)
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad manifest line")
+        if frame in seen:
+            raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
+        seen.add(frame)
+        entries.append((frame, rel))
     return entries

@@ -64,22 +64,22 @@ class NormalizedPose2D:
         return self.joints * self.scale + self.mean
 
 
-def as_pose2d(joints) -> np.ndarray:
-    pose = np.asarray(joints, dtype=np.float64)
-    if pose.ndim != 2 or pose.shape[1] != 2:
-        raise ValueError(f"expected (M, 2) array, got {pose.shape}")
-    if not np.all(np.isfinite(pose)):
-        raise ValueError("2D pose contains non-finite coordinates")
-    return pose
-
-
-def as_pose3d(joints) -> np.ndarray:
-    pose = np.asarray(joints, dtype=np.float64)
-    if pose.ndim != 2 or pose.shape[1] != 3:
-        raise ValueError(f"expected (M, 3) array, got {pose.shape}")
-    if not np.all(np.isfinite(pose)):
-        raise ValueError("3D pose contains non-finite coordinates")
-    return pose
+def as_poses(poses, dim: int, ndim: int | None = 2) -> np.ndarray:
+    """Finite float64 poses of `dim` coordinates: one (M, dim) pose, a
+    (K, M, dim) stack with ndim=3, or (..., M, dim) with ndim=None; else
+    ValueError, which for a stack names the first bad pose (flat order)."""
+    try:
+        poses = np.asarray(poses, dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"{dim}D poses are not all (M, {dim}) arrays: {e}") from e
+    if poses.ndim < 2 or poses.shape[-1] != dim or ndim not in (None, poses.ndim):
+        lead = "" if ndim == 2 else "K, " if ndim == 3 else "..., "
+        raise ValueError(f"expected ({lead}M, {dim}) array, got {poses.shape}")
+    finite = np.isfinite(poses).all(axis=(-2, -1)).ravel()
+    if not finite.all():
+        where = f"pose {np.argmin(finite)}: " if poses.ndim > 2 else ""
+        raise ValueError(f"{where}{dim}D pose contains non-finite coordinates")
+    return poses
 
 
 def normalize_poses(poses):
@@ -103,7 +103,7 @@ def normalize_pose(pose) -> NormalizedPose2D:
 
     Raises DegeneratePoseError when all joints coincide.
     """
-    pose = as_pose2d(pose)
+    pose = as_poses(pose, 2)
     if len(pose) < 2:
         raise ValueError("need at least 2 joints to normalize")
     joints, means, scales = normalize_poses(pose[None])
@@ -112,25 +112,13 @@ def normalize_pose(pose) -> NormalizedPose2D:
     return NormalizedPose2D(joints=joints[0], mean=means[0], scale=float(scales[0]))
 
 
-def _as_poses3d(poses) -> np.ndarray:
-    """One (M, 3) pose or a stack (..., M, 3) of them, finite."""
-    poses = np.asarray(poses, dtype=np.float64)
-    if poses.ndim == 2:
-        return as_pose3d(poses)
-    if poses.ndim < 2 or poses.shape[-1] != 3:
-        raise ValueError(f"expected (..., M, 3) array, got {poses.shape}")
-    if not np.all(np.isfinite(poses)):
-        raise ValueError("3D pose contains non-finite coordinates")
-    return poses
-
-
 def project_perspective(pose, camera: CameraModel) -> np.ndarray:
     """Pinhole projection u = fx*X/Z + cx, v = fy*Y/Z + cy.
 
     Takes one (M, 3) pose or a stack (..., M, 3). Raises BehindCameraError
     when any joint has Z <= 0.
     """
-    pose = _as_poses3d(pose)
+    pose = as_poses(pose, 3, ndim=None)
     z = pose[..., 2]
     if np.any(z <= 0):
         raise BehindCameraError("joint with non-positive depth")
@@ -141,14 +129,14 @@ def project_perspective(pose, camera: CameraModel) -> np.ndarray:
 
 def project_orthographic(pose) -> np.ndarray:
     """Drop the depth coordinate: (X, Y, Z) -> (X, Y); one pose or a stack."""
-    pose = _as_poses3d(pose)
+    pose = as_poses(pose, 3, ndim=None)
     return pose[..., :2].copy()
 
 
 def mpjpe(gt, est, root_index: int = 0) -> float:
     """Root-relative mean per-joint position error in millimeters."""
-    gt = as_pose3d(gt)
-    est = as_pose3d(est)
+    gt = as_poses(gt, 3)
+    est = as_poses(est, 3)
     if gt.shape != est.shape:
         raise ValueError("pose shapes differ")
     if not 0 <= root_index < len(gt):
@@ -163,8 +151,8 @@ def procrustes_align(gt, est):
     Reflections are excluded via the determinant sign correction.
     Returns the aligned copy of est.
     """
-    gt = as_pose3d(gt)
-    est = as_pose3d(est)
+    gt = as_poses(gt, 3)
+    est = as_poses(est, 3)
     if gt.shape != est.shape or len(gt) < 3:
         raise ValueError("need matching point sets with at least 3 points")
     mu_gt = gt.mean(axis=0)
@@ -184,15 +172,15 @@ def procrustes_align(gt, est):
 
 def procrustes_error(gt, est) -> float:
     """Mean per-joint distance after optimal similarity alignment (mm)."""
-    gt = as_pose3d(gt)
+    gt = as_poses(gt, 3)
     aligned = procrustes_align(gt, est)
     return float(np.mean(np.linalg.norm(gt - aligned, axis=1)))
 
 
 def error_2d(gt, est) -> float:
     """Mean per-joint Euclidean distance in pixels (256x256 crop frame)."""
-    gt = as_pose2d(gt)
-    est = as_pose2d(est)
+    gt = as_poses(gt, 2)
+    est = as_poses(est, 2)
     if gt.shape != est.shape:
         raise ValueError("pose shapes differ")
     return float(np.mean(np.linalg.norm(gt - est, axis=1)))

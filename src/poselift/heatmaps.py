@@ -454,7 +454,11 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     from the same window state (base pixel and covered pixels) end at the
     same point and are merged; no other points are merged. Each point is
     scored by the flat-kernel density there and ranked by score, ties by
-    (y, x); greedy suppression keeps the strongest point of every
+    (y, x). Scores are floating-point window sums, so a tie is a tie only
+    when those sums come out bit-equal: densities that tie in exact
+    arithmetic can differ in the last bit (a grid that repeats a value
+    that is not dyadic) and then rank by that bit. Greedy suppression
+    keeps the strongest point of every
     bandwidth/2 neighborhood, up to max_candidates; finally saddle stalls
     (kept points that are not local maxima of the shadow density, detected
     with probes at radius 0.5) are dropped, except the strongest point.

@@ -15,6 +15,7 @@ import numpy as np
 from .geometry import (
     DEGENERATE_TOL,
     CameraModel,
+    as_poses,
     grid_to_image,
     normalize_pose,  # unused here: bench/spans.py wraps inference.normalize_pose
     normalize_poses,
@@ -92,14 +93,11 @@ def consistency_priors(
     poses_2d = np.asarray(poses_2d, dtype=np.float64)
     lifted = np.asarray(lifted, dtype=np.float64)
     if mode == PRIOR_PERSPECTIVE:
-        absolute = lifted + model.mean_offset
-        if not np.all(np.isfinite(absolute)):
-            raise ValueError("3D pose contains non-finite coordinates")
+        absolute = as_poses(lifted + model.mean_offset, 3, ndim=3)
         behind = np.any(absolute[..., 2] <= 0, axis=1)
         reproj = np.zeros(poses_2d.shape)
-        reproj[~behind] = project_perspective(absolute[~behind], camera)
-        if not np.all(np.isfinite(reproj)):
-            raise ValueError("2D pose contains non-finite coordinates")
+        projected = project_perspective(absolute[~behind], camera)
+        reproj[~behind] = as_poses(projected, 2, ndim=3)
     else:
         behind = np.zeros(len(lifted), dtype=bool)
         reproj = project_orthographic(lifted)
@@ -136,9 +134,10 @@ def infer(
     """Full per-frame pipeline: candidates, top-N poses, priors, argmin energy.
 
     With prior_strength 0 the priors are identically zero and the winner
-    is the greedy top-score pose. Candidates whose prior cannot be
-    evaluated (implausible lift behind the camera) get +inf energy
-    instead of aborting the frame.
+    is the greedy top-score pose. Every candidate is lifted once, in one
+    batch. Candidates whose prior cannot be evaluated (a lift behind the
+    camera, or joints that coincide) get +inf energy instead of aborting
+    the frame.
     """
     if config.prior_mode == PRIOR_PERSPECTIVE and camera is None:
         raise ValueError("perspective prior requires a camera model")
@@ -156,30 +155,17 @@ def infer(
     indices = np.array([a.indices for a in assignments])
     poses_img = grid_to_image(positions[indices + starts], volume.box, volume.grid_size)
 
+    lifted = model.lift_batch(model.build_inputs(poses_img)[0])
     if config.prior_strength == 0:
         priors = np.zeros(len(assignments))
-        lifted = None
     else:
-        inputs, ok = model.build_inputs(poses_img)
-        lifted = model.lift_batch(inputs)
-        priors = np.full(len(assignments), np.inf)
-        priors[ok] = consistency_priors(
-            poses_img[ok],
-            lifted[ok],
-            model,
-            config.prior_mode,
-            config.prior_strength,
-            camera,
+        priors = consistency_priors(
+            poses_img, lifted, model, config.prior_mode, config.prior_strength, camera
         )
-
     scores = np.array([a.score for a in assignments])
     energies = -scores + priors
     best = int(np.argmin(energies))  # ties resolve to the lowest k
-
-    if lifted is None:
-        best_3d = model.lift(poses_img[best])
-    else:
-        best_3d = lifted[best]
+    best_3d = lifted[best]
     candidates = tuple(
         CandidateResult(
             indices=a.indices,

@@ -18,7 +18,7 @@ from .fileio import atomic_write_bytes
 from .geometry import (
     DEGENERATE_TOL,
     DegeneratePoseError,
-    as_pose2d,
+    as_poses,
     normalize_poses,
 )
 
@@ -76,7 +76,7 @@ class LifterModel:
         )
 
     def build_input(self, pose) -> np.ndarray:
-        pose = as_pose2d(pose)
+        pose = as_poses(pose, 2)
         if len(pose) != self.num_joints:
             raise ValueError(
                 f"pose has {len(pose)} joints, model expects {self.num_joints}"
@@ -202,21 +202,6 @@ def loss_and_gradients(weights, biases, inputs, targets):
     return loss, w_grads, b_grads
 
 
-def _stack_poses(poses, dim: int) -> np.ndarray:
-    """A finite (K, M, dim) float64 stack of K poses; ValueError otherwise."""
-    try:
-        stack = np.asarray(poses, dtype=np.float64)
-    except ValueError as e:
-        raise ValueError(f"{dim}D poses are not all (M, {dim}) arrays: {e}") from e
-    if stack.ndim != 3 or stack.shape[2] != dim:
-        raise ValueError(f"expected (M, {dim}) poses, got a {stack.shape} stack")
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"pose {k}: {dim}D pose contains non-finite coordinates")
-    return stack
-
-
 def _prepare_training_data(poses_2d, poses_3d, input_mode):
     """Network inputs (n, input_dim), centered 3D targets (n, 3M) divided by
     TARGET_SCALE, and the removed 3D centroids (n, 3), in one batched pass.
@@ -224,8 +209,8 @@ def _prepare_training_data(poses_2d, poses_3d, input_mode):
     Raises ValueError for wrongly shaped or non-finite poses and
     DegeneratePoseError for a 2D pose whose joints coincide.
     """
-    p2 = _stack_poses(poses_2d, 2)
-    p3 = _stack_poses(poses_3d, 3)
+    p2 = as_poses(poses_2d, 2, ndim=3)
+    p3 = as_poses(poses_3d, 3, ndim=3)
     if p2.shape[1] < 2:
         raise ValueError("need at least 2 joints to normalize")
     if p3.shape[1] != p2.shape[1]:
@@ -332,26 +317,28 @@ def load_model(path) -> LifterModel:
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + len(MODEL_MAGIC):
-        raise ModelFormatError("model file truncated")
+        raise ModelFormatError(f"{path}: model file truncated")
     payload, checksum = blob[:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != checksum:
-        raise ModelFormatError("model file checksum mismatch")
+        raise ModelFormatError(f"{path}: model file checksum mismatch")
     if payload[:4] != MODEL_MAGIC:
-        raise ModelFormatError("bad magic; not a lifter model file")
+        raise ModelFormatError(f"{path}: bad magic; not a lifter model file")
     offset = 4
     try:
         version, num_joints, mode_flag, n_sizes = struct.unpack_from(
             "<IIBI", payload, offset
         )
     except struct.error:
-        raise ModelFormatError("model file truncated inside header")
+        raise ModelFormatError(f"{path}: model file truncated inside header")
     offset += struct.calcsize("<IIBI")
     if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version}")
+        raise ModelFormatError(f"{path}: unsupported model format version {version}")
     if n_sizes < 2:
-        raise ModelFormatError(f"model file declares {n_sizes} layer sizes, need 2 or more")
+        raise ModelFormatError(
+            f"{path}: model file declares {n_sizes} layer sizes, need 2 or more"
+        )
     if offset + 4 * n_sizes + 24 > len(payload):
-        raise ModelFormatError("model file truncated inside layer sizes")
+        raise ModelFormatError(f"{path}: model file truncated inside layer sizes")
     sizes = struct.unpack_from(f"<{n_sizes}I", payload, offset)
     offset += 4 * n_sizes
     mean_offset = np.frombuffer(payload, dtype="<f8", count=3, offset=offset).copy()
@@ -360,7 +347,7 @@ def load_model(path) -> LifterModel:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         need = (fan_in * fan_out + fan_out) * 8
         if offset + need > len(payload):
-            raise ModelFormatError("model file truncated inside parameters")
+            raise ModelFormatError(f"{path}: model file truncated inside parameters")
         w = np.frombuffer(
             payload, dtype="<f8", count=fan_in * fan_out, offset=offset
         ).reshape(fan_in, fan_out).copy()
@@ -370,7 +357,9 @@ def load_model(path) -> LifterModel:
         weights.append(w)
         biases.append(b)
     if offset != len(payload):
-        raise ModelFormatError("trailing bytes in model file")
+        raise ModelFormatError(f"{path}: trailing bytes in model file")
+    if not all(np.isfinite(a).all() for a in (mean_offset, *weights, *biases)):
+        raise ModelFormatError(f"{path}: non-finite model parameters")
     try:
         return LifterModel(
             num_joints=num_joints,
@@ -380,4 +369,4 @@ def load_model(path) -> LifterModel:
             input_mode=INPUT_FULL if mode_flag else INPUT_NORMALIZED,
         )
     except ValueError as e:
-        raise ModelFormatError(f"bad model file: {e}")
+        raise ModelFormatError(f"{path}: bad model file: {e}")

@@ -7,7 +7,7 @@ rendered as ground-truth heat maps with optional distractor corruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -337,6 +337,24 @@ class TestInfer:
         assert run(*self.infer_args(data, model, out)) == EXIT_DATA
         assert "model file" in capsys.readouterr().err
 
+    def test_model_error_names_the_file(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        model = tmp_path / "m3.bin"
+        payload = b"PLFT\x01\x00"  # checksum-valid, cut inside the header
+        model.write_bytes(payload + hashlib.sha256(payload).digest())
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert f"{model}: model file truncated" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_data_error(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        manifest = data / "manifest.txt"
+        lines = manifest.read_bytes().splitlines()
+        manifest.write_bytes(b"\n".join(lines + [b"9\tvolumes/\xff.hmv"]) + b"\n")
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert f"{manifest}:{len(lines) + 1}: not UTF-8" in capsys.readouterr().err
+
     def test_repeated_manifest_frame_is_data_error(self, pipeline, capsys):
         tmp_path, data, model = pipeline
         manifest = data / "manifest.txt"
@@ -419,6 +437,19 @@ class TestEval:
         )
         assert code == EXIT_DATA
         assert f"{tmp_path / 'a.jsonl'}:2: " in capsys.readouterr().err
+
+    def test_non_utf8_pose_file_is_data_error(self, tmp_path, capsys):
+        save_poses(tmp_path / "a.jsonl", [np.zeros((3, 3))])
+        save_poses(tmp_path / "b.jsonl", [np.zeros((3, 3))])
+        bad = tmp_path / "b.jsonl"
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "a.jsonl"),
+            "--gt-3d", str(bad),
+        )
+        assert code == EXIT_DATA
+        assert f"{bad}:1: not UTF-8" in capsys.readouterr().err
 
     def test_no_inputs(self):
         assert run("eval") == EXIT_USAGE

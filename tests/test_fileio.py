@@ -1,10 +1,14 @@
-"""File format tests: pose records, camera files, heat-map volumes, manifests."""
+"""File format tests: pose records, camera files, heat-map volumes,
+manifests, and every loader (model files included) under byte mutation."""
 
+import hashlib
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poselift.fileio import (
     DataFormatError,
@@ -20,6 +24,7 @@ from poselift.fileio import (
 )
 from poselift.geometry import BoundingBox, CameraModel
 from poselift.heatmaps import HeatMapVolume
+from poselift.lifter import LifterModel, ModelFormatError, load_model, save_model
 
 
 class TestPoses:
@@ -129,6 +134,12 @@ class TestCamera:
         path.write_text(
             "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
         )
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            load_camera(path)
+
+    def test_integer_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "camera.json"
+        path.write_text('{"fx": ' + "1" * 401 + ', "fy": 1000, "cx": 0, "cy": 0}\n')
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_camera(path)
 
@@ -244,3 +255,62 @@ class TestAtomicWrite:
         path = tmp_path / "file.bin"
         atomic_write_bytes(path, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
+
+
+# one valid file of each kind, as (writer, loader); the model is tiny but
+# well-formed: 2 joints, full input layout, one hidden layer of 3
+_rng = np.random.default_rng(12)
+_MODEL = LifterModel(
+    num_joints=2,
+    weights=(_rng.normal(size=(7, 3)), _rng.normal(size=(3, 6))),
+    biases=(_rng.normal(size=3), _rng.normal(size=6)),
+    mean_offset=np.array([10.0, -20.0, 4000.0]),
+)
+_VOLUME = make_volume(_rng, m=2, size=4)
+_POSES = [[[1.5, -2.0], [3.25, 4.0]], [[0.5, 0.5], [7.0, -1e3]]]
+_MANIFEST = [(0, "volumes/a.hmv"), (5, "b.hmv")]
+_CAMERA = CameraModel(fx=1150.0, fy=1100.0, cx=500.5, cy=499.5)
+FILE_KINDS = {
+    "pose": (
+        lambda p: save_poses(p, _POSES, frames=[3, 1]),
+        lambda p: load_poses(p, dim=2),
+    ),
+    "manifest": (lambda p: save_manifest(p, _MANIFEST), load_manifest),
+    "volume": (lambda p: save_volume(p, _VOLUME), load_volume),
+    "camera": (lambda p: save_camera(p, _CAMERA), load_camera),
+    "model": (lambda p: save_model(_MODEL, p), load_model),
+}
+
+
+def mutated(blob: bytes, kind: str, position: int, byte: int | None) -> bytes:
+    """blob cut at `position`, or with the byte there replaced. A model's
+    checksum is recomputed, so that its parser rather than the checksum
+    sees the change."""
+    payload = blob[:-32] if kind == "model" else blob
+    position %= len(payload)
+    tail = b"" if byte is None else bytes([byte]) + payload[position + 1 :]
+    payload = payload[:position] + tail
+    if kind == "model":
+        payload += hashlib.sha256(payload).digest()
+    return payload
+
+
+class TestLoadersUnderMutation:
+    @pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        # the example rewrites the same file in tmp_path every time
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(position=st.integers(0, 2**16), byte=st.none() | st.integers(0, 255))
+    def test_loads_or_raises_a_format_error(self, tmp_path, kind, position, byte):
+        write, load = FILE_KINDS[kind]
+        path = tmp_path / f"file.{kind}"
+        write(path)
+        path.write_bytes(mutated(path.read_bytes(), kind, position, byte))
+        try:
+            load(path)
+        except (DataFormatError, ModelFormatError) as e:
+            assert str(path) in str(e)

@@ -215,13 +215,15 @@ class TestInfer:
         assert all(c.failed for c in result.candidates)
         assert all(np.isinf(c.energy) for c in result.candidates)
 
-    def test_no_normalizable_candidate(self):
+    @pytest.mark.parametrize("strength", [0.0, 1.0])
+    def test_no_normalizable_candidate(self, strength):
         # every joint's map is the same bump: each candidate pose has all
         # joints at one point, so no prior can be evaluated
         volume = make_volume([(10.0, 12.0)] * 3)
-        result = infer(volume, self.model, InferenceConfig(num_candidates=4), CAMERA)
+        config = InferenceConfig(prior_strength=strength, num_candidates=4)
+        result = infer(volume, self.model, config, CAMERA)
         assert result.chosen_index == 0
-        assert all(c.prior == np.inf for c in result.candidates)
+        assert all(c.prior == (np.inf if strength else 0.0) for c in result.candidates)
 
     def test_orthographic_needs_no_camera(self):
         config = InferenceConfig(

@@ -468,6 +468,19 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("where", ["mean-offset", "last-bias"])
+    def test_non_finite_parameters_with_valid_checksum(self, tmp_path, where):
+        _, path = self.trained(tmp_path)
+        payload = path.read_bytes()[:-32]
+        n_sizes = struct.unpack_from("<IIBI", payload, 4)[3]
+        at = 4 + struct.calcsize("<IIBI") + 4 * n_sizes
+        if where == "last-bias":
+            at = len(payload) - 8
+        payload = payload[:at] + np.array([np.nan], "<f8").tobytes() + payload[at + 8 :]
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(ModelFormatError, match=f"{path}: non-finite"):
+            load_model(path)
+
     def test_wrong_joint_count_at_lift(self, tmp_path):
         model, path = self.trained(tmp_path)
         loaded = load_model(path)
