@@ -12,7 +12,6 @@ from .geometry import (
     image_to_grid,
     mpjpe,
     normalize_pose,
-    procrustes_align,
     procrustes_error,
     project_orthographic,
     project_perspective,
@@ -20,8 +19,8 @@ from .geometry import (
 from .heatmaps import (
     HeatMapVolume,
     JointCandidates,
-    find_modes,
     find_modes_nms,
+    find_modes_volume,
     render_gaussian,
 )
 from .inference import (

@@ -131,25 +131,15 @@ def load_camera(path) -> CameraModel:
             raise DataFormatError(f"{path}: bad camera file: {e}")
 
 
-def volume_to_bytes(volume: HeatMapVolume) -> bytes:
-    m, h, w = volume.maps.shape
+def save_volume(path, volume: HeatMapVolume) -> None:
+    box = volume.box
     parts = [
         VOLUME_MAGIC,
-        struct.pack("<III", m, h, w),
+        struct.pack("<III", *volume.maps.shape),
         np.ascontiguousarray(volume.maps, dtype="<f4").tobytes(),
-        struct.pack(
-            "<dddd",
-            volume.box.origin_x,
-            volume.box.origin_y,
-            volume.box.side,
-            0.0,
-        ),
+        struct.pack("<dddd", box.origin_x, box.origin_y, box.side, 0.0),
     ]
-    return b"".join(parts)
-
-
-def save_volume(path, volume: HeatMapVolume) -> None:
-    atomic_write_bytes(path, volume_to_bytes(volume))
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_volume(path) -> HeatMapVolume:

@@ -60,9 +60,6 @@ class NormalizedPose2D:
     mean: np.ndarray  # (2,), pixels
     scale: float  # pixels, > 0
 
-    def denormalize(self) -> np.ndarray:
-        return self.joints * self.scale + self.mean
-
 
 def as_poses(poses, dim: int, ndim: int | None = 2) -> np.ndarray:
     """Finite float64 poses of `dim` coordinates: one (M, dim) pose, a
@@ -145,11 +142,12 @@ def mpjpe(gt, est, root_index: int = 0) -> float:
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
-def procrustes_align(gt, est):
-    """Similarity transform (s, R, t) minimizing ||gt - (s*est@R.T + t)||^2.
+def procrustes_error(gt, est) -> float:
+    """Mean per-joint distance after optimal similarity alignment (mm).
 
-    Reflections are excluded via the determinant sign correction.
-    Returns the aligned copy of est.
+    The alignment is the similarity transform (s, R, t) minimizing
+    ||gt - (s*est@R.T + t)||^2; reflections are excluded via the
+    determinant sign correction.
     """
     gt = as_poses(gt, 3)
     est = as_poses(est, 3)
@@ -167,13 +165,7 @@ def procrustes_align(gt, est):
     d[-1] = np.sign(np.linalg.det(u @ vt))
     rot = u @ np.diag(d) @ vt
     scale = np.sum(s * d) / var_b
-    return scale * b @ rot.T + mu_gt
-
-
-def procrustes_error(gt, est) -> float:
-    """Mean per-joint distance after optimal similarity alignment (mm)."""
-    gt = as_poses(gt, 3)
-    aligned = procrustes_align(gt, est)
+    aligned = scale * b @ rot.T + mu_gt
     return float(np.mean(np.linalg.norm(gt - aligned, axis=1)))
 
 

@@ -421,14 +421,6 @@ def _suppress(x, y, groups, radius, limit):
     return kept & (rank - before <= limit)
 
 
-def _greedy_suppress(points, values, radius, limit):
-    """Keep points in the given priority order, dropping any within radius
-    of an already-kept point. points/values must be pre-sorted."""
-    groups = np.zeros(len(points), dtype=np.intp)
-    keep = _suppress(points[:, 0], points[:, 1], groups, radius, limit)
-    return points[keep], values[keep]
-
-
 def _local_maxima(sums: _RowSums, joints, x, y):
     """True where no probe around the point has higher shadow density."""
     limit = sums.shadow(joints, x, y) * (1.0 + 1e-9)
@@ -495,12 +487,6 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     ]
 
 
-def find_modes(grid, bandwidth: float, max_candidates: int) -> JointCandidates:
-    """Mean-shift modes of one smoothed heat map, best first."""
-    grid = np.asarray(grid, dtype=np.float64)
-    return find_modes_volume(grid[None], bandwidth, max_candidates)[0]
-
-
 def find_modes_nms(
     grid, max_candidates: int, upscale: int = 8, radius: float = 3.0
 ) -> JointCandidates:
@@ -515,34 +501,26 @@ def find_modes_nms(
         raise ValueError("upscale must be >= 1")
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid.shape
-    if upscale == 1:
-        up = grid
-    else:
-        # sample at upscaled pixel centers, pixel-center aligned
-        yy, xx = np.mgrid[0 : h * upscale, 0 : w * upscale]
-        coords = np.stack(
-            [(yy + 0.5) / upscale - 0.5, (xx + 0.5) / upscale - 0.5]
-        )
-        up = ndimage.map_coordinates(grid, coords, order=1, mode="nearest")
+    # sample at upscaled pixel centers, pixel-center aligned; at upscale 1
+    # these are the pixels themselves and the samples the grid, bit for bit
+    yy, xx = np.mgrid[0 : h * upscale, 0 : w * upscale]
+    coords = np.stack([(yy + 0.5) / upscale - 0.5, (xx + 0.5) / upscale - 0.5])
+    up = ndimage.map_coordinates(grid, coords, order=1, mode="nearest")
 
     # local maxima over 8-neighborhoods; >= keeps the symmetric ties that
     # bilinear resampling produces around a peak, NMS then drops duplicates
     footprint = np.ones((3, 3), dtype=bool)
     footprint[1, 1] = False
-    neighbor_max = ndimage.maximum_filter(
-        up, footprint=footprint, mode="constant"
-    )
+    neighbor_max = ndimage.maximum_filter(up, footprint=footprint, mode="constant")
     peaks = (up >= neighbor_max) & (up > 0)
     pys, pxs = np.nonzero(peaks)
     vals = up[pys, pxs]
     order = np.lexsort((pxs, pys, -vals))
-    points = np.stack([pxs, pys], axis=1).astype(np.float64)
-    kept, kept_vals = _greedy_suppress(
-        points[order], vals[order], radius * upscale, max_candidates
-    )
-    if upscale > 1:
-        kept = (kept + 0.5) / upscale - 0.5
-    return JointCandidates(positions=kept, values=kept_vals)
+    points = np.stack([pxs, pys], axis=1)[order].astype(np.float64)
+    groups = np.zeros(len(order), dtype=np.intp)  # one group: the whole grid
+    keep = _suppress(points[:, 0], points[:, 1], groups, radius * upscale, max_candidates)
+    positions = (points[keep] + 0.5) / upscale - 0.5  # back to grid scale
+    return JointCandidates(positions=positions, values=vals[order][keep])
 
 
 def render_gaussian(joint, grid_size: int, sigma: float = 1.0) -> np.ndarray:

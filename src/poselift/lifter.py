@@ -99,18 +99,14 @@ class LifterModel:
         flat[~ok] = 0.0
         return flat, ok
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Batched forward pass on (B, input_dim) rows."""
-        return _forward_cached(self.weights, self.biases, inputs)[0]
-
     def lift(self, pose) -> np.ndarray:
         """Zero-mean 3D pose (M, 3) in millimeters for one 2D pose."""
-        out = self.forward(self.build_input(pose)[None, :])
-        return out.reshape(self.num_joints, 3)
+        return self.lift_batch(self.build_input(pose)[None])[0]
 
     def lift_batch(self, inputs: np.ndarray) -> np.ndarray:
         """(B, input_dim) -> (B, M, 3) zero-mean poses."""
-        return self.forward(inputs).reshape(-1, self.num_joints, 3)
+        out = _forward_cached(self.weights, self.biases, inputs)[0]
+        return out.reshape(-1, self.num_joints, 3)
 
 
 @dataclass(frozen=True)

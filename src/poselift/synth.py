@@ -25,6 +25,9 @@ from .heatmaps import HeatMapVolume, render_gaussian
 from .inference import InferenceConfig, infer
 from .lifter import LifterTrainConfig, train_lifter
 
+# the crop box extends this share of the pose's larger extent on each side
+BOX_MARGIN = 0.15
+
 
 @dataclass(frozen=True)
 class SkeletonSpec:
@@ -177,7 +180,6 @@ def make_frame(
     corruption: CorruptionSpec,
     rng,
     grid_size: int = 32,
-    box_margin: float = 0.15,
 ):
     """Project a camera-space pose and render its (optionally corrupted)
     heat-map volume. Returns (volume, pose_2d_image, pose_3d)."""
@@ -188,7 +190,7 @@ def make_frame(
 
     lo = pose_2d.min(axis=0)
     hi = pose_2d.max(axis=0)
-    side = float(np.max(hi - lo)) * (1.0 + 2.0 * box_margin)
+    side = float(np.max(hi - lo)) * (1.0 + 2.0 * BOX_MARGIN)
     center = (lo + hi) / 2
     box = BoundingBox(
         origin_x=float(center[0] - side / 2),
@@ -297,10 +299,14 @@ def run_benchmark(
     train_config: LifterTrainConfig = LifterTrainConfig(),
     baseline: str | None = None,
     depth_range=(3000.0, 6000.0),
-) -> dict:
+) -> tuple[dict, dict]:
     """Train a lifter, infer with each config on a shared test split, and
     report the three metrics plus a bootstrap interval for the paired MPJPE
-    delta against the named baseline config."""
+    delta against the named baseline config.
+
+    Returns (report, per_frame): the report holds only JSON values, and
+    per_frame maps each config name to evaluate_frames' arrays.
+    """
     rng = np.random.default_rng(seed)
     train_seed, test_seed, lifter_seed, boot_seed = rng.integers(0, 2**31, size=4)
 
@@ -324,48 +330,26 @@ def run_benchmark(
         skeleton, camera, n_test, corruption, int(test_seed),
         depth_range=depth_range,
     )
-    per_config = {}
+    per_frame = {}
     for name, config in configs.items():
         metrics = evaluate_frames(test_frames, model, config, camera)
-        per_config[name] = metrics
+        per_frame[name] = metrics
         report["configs"][name] = {
             "mpjpe_mean": float(metrics["mpjpe"].mean()),
             "similarity_mean": float(metrics["similarity"].mean()),
             "error_2d_mean": float(metrics["error_2d"].mean()),
         }
 
-    if baseline is not None and baseline in per_config:
+    if baseline is not None and baseline in per_frame:
         boot_rng = np.random.default_rng(int(boot_seed))
         report["deltas_vs_baseline"] = {}
-        for name, metrics in per_config.items():
+        for name, metrics in per_frame.items():
             if name == baseline:
                 continue
-            delta = metrics["mpjpe"] - per_config[baseline]["mpjpe"]
+            delta = metrics["mpjpe"] - per_frame[baseline]["mpjpe"]
             lo, hi = bootstrap_mean_ci(delta, boot_rng)
             report["deltas_vs_baseline"][name] = {
                 "mpjpe_delta_mean": float(delta.mean()),
                 "ci95": [lo, hi],
             }
-    report["_per_config"] = per_config
-    return report
-
-
-def format_report(report: dict) -> str:
-    """Human-readable table for a benchmark report."""
-    lines = [
-        f"benchmark seed={report['seed']} "
-        f"train={report['n_train']} test={report['n_test']}",
-        f"{'config':<24}{'MPJPE (mm)':>12}{'Similarity':>12}{'2D (px)':>10}",
-    ]
-    for name, row in report["configs"].items():
-        lines.append(
-            f"{name:<24}{row['mpjpe_mean']:>12.2f}"
-            f"{row['similarity_mean']:>12.2f}{row['error_2d_mean']:>10.2f}"
-        )
-    for name, row in report.get("deltas_vs_baseline", {}).items():
-        lo, hi = row["ci95"]
-        lines.append(
-            f"delta[{name}] = {row['mpjpe_delta_mean']:+.2f} mm "
-            f"(95% CI [{lo:+.2f}, {hi:+.2f}])"
-        )
-    return "\n".join(lines) + "\n"
+    return report, per_frame

@@ -23,7 +23,7 @@ from poselift.geometry import (
     procrustes_error,
     project_perspective,
 )
-from poselift.heatmaps import find_modes, render_gaussian
+from poselift.heatmaps import find_modes_volume, render_gaussian
 from poselift.inference import (
     PRIOR_ORTHOGRAPHIC,
     InferenceConfig,
@@ -83,7 +83,7 @@ def test_criterion_2_mean_shift_fidelity():
     for _ in range(1000):
         center = rng.uniform(4, 28, size=2)
         grid = render_gaussian(center, 32, sigma=1.0)
-        modes = find_modes(grid, bandwidth, 8)
+        modes = find_modes_volume(grid[None], bandwidth, 8)[0]
         if np.linalg.norm(modes.positions[0] - center) < 0.5:
             hits += 1
     assert hits >= 990
@@ -98,7 +98,7 @@ def test_criterion_2_mean_shift_fidelity():
         grid = render_gaussian(c1, 32, sigma=1.0) + 0.8 * render_gaussian(
             c2, 32, sigma=1.0
         )
-        modes = find_modes(grid, bandwidth, 8)
+        modes = find_modes_volume(grid[None], bandwidth, 8)[0]
         if len(modes) == 2:
             exact += 1
     assert exact >= 990
@@ -215,7 +215,7 @@ def test_criterion_5_prior_effectiveness():
     cuts mean J_MPJPE by >= 5% vs the unary-only decode, with a bootstrap
     95% interval excluding zero."""
     start = time.perf_counter()
-    report = run_benchmark(
+    report, _ = run_benchmark(
         default_skeleton(),
         default_camera(),
         n_train=2000,
@@ -239,7 +239,7 @@ def test_criterion_5_prior_effectiveness():
 def test_criterion_6_perspective_orthographic_agreement():
     """At depth >= 20x subject extent the two prior modes pick the same
     candidate on >= 95% of frames."""
-    report = run_benchmark(
+    _, per_frame = run_benchmark(
         default_skeleton(),
         default_camera(),
         n_train=1000,
@@ -254,8 +254,8 @@ def test_criterion_6_perspective_orthographic_agreement():
         corruption=CorruptionSpec(distractor_prob=0.15, strength=1.1),
         depth_range=(35000.0, 45000.0),  # ~23x the ~1.7 m subject extent
     )
-    chosen_p = report["_per_config"]["perspective"]["chosen"]
-    chosen_o = report["_per_config"]["orthographic"]["chosen"]
+    chosen_p = per_frame["perspective"]["chosen"]
+    chosen_o = per_frame["orthographic"]["chosen"]
     agreement = float(np.mean(chosen_p == chosen_o))
     assert agreement >= 0.95
 

@@ -18,7 +18,6 @@ from poselift.geometry import BoundingBox
 from poselift.heatmaps import (
     CONVERGENCE_TOL,
     HeatMapVolume,
-    find_modes,
     find_modes_nms,
     find_modes_volume,
     render_gaussian,
@@ -161,14 +160,14 @@ class TestMeanShiftStep:
 class TestFindModes:
     def test_single_gaussian_bump(self):
         grid = render_gaussian((20.0, 11.0), 32)
-        modes = find_modes(grid, 3.0, 8)
+        modes = find_modes_volume(grid[None], 3.0, 8)[0]
         assert np.linalg.norm(modes.positions[0] - (20, 11)) < 0.5
 
     def test_two_separated_bumps(self):
         grid = render_gaussian((8.3, 16.2), 32) + render_gaussian(
             (23.4, 15.5), 32
         )
-        modes = find_modes(grid, 3.0, 8)
+        modes = find_modes_volume(grid[None], 3.0, 8)[0]
         # seeds started near the saddle between the bumps may stall there
         # with negligible density; the two real bumps dominate
         strong = modes.values > 1e-3 * modes.values[0]
@@ -183,8 +182,8 @@ class TestFindModes:
             (21.0, 16.0), 32
         )
         mirrored = grid[:, ::-1].copy()
-        modes = find_modes(grid, 3.0, 8)
-        modes_m = find_modes(mirrored, 3.0, 8)
+        modes = find_modes_volume(grid[None], 3.0, 8)[0]
+        modes_m = find_modes_volume(mirrored[None], 3.0, 8)[0]
         assert len(modes) == len(modes_m)
         flipped = sorted(map(tuple, np.column_stack(
             [31.0 - modes.positions[:, 0], modes.positions[:, 1]]
@@ -197,7 +196,7 @@ class TestFindModes:
         grid = rng.uniform(0, 1, size=(32, 32)) + 3 * render_gaussian(
             (12.0, 20.0), 32
         )
-        modes = find_modes(grid, 3.0, 16)
+        modes = find_modes_volume(grid[None], 3.0, 16)[0]
         assert np.all(np.diff(modes.values) <= 1e-12)
         for p, v in zip(modes.positions, modes.values):
             assert v == pytest.approx(brute_force_kde(grid, p, 3.0), rel=1e-9)
@@ -206,8 +205,8 @@ class TestFindModes:
         grid = render_gaussian((9.0, 22.0), 32) + 0.5 * render_gaussian(
             (25.0, 7.0), 32
         )
-        a = find_modes(grid, 3.0, 8)
-        b = find_modes(2.5 * grid, 3.0, 8)
+        a = find_modes_volume(grid[None], 3.0, 8)[0]
+        b = find_modes_volume((2.5 * grid)[None], 3.0, 8)[0]
         # near-tied micro-modes within the merge radius can swap their
         # suppression order under scaling, moving the representative by a
         # hair; the mode locations agree to well below a pixel
@@ -217,13 +216,13 @@ class TestFindModes:
     def test_truncation(self):
         rng = np.random.default_rng(4)
         grid = rng.uniform(0.01, 1, size=(32, 32))
-        modes = find_modes(grid, 2.0, 3)
+        modes = find_modes_volume(grid[None], 2.0, 3)[0]
         assert 1 <= len(modes) <= 3
 
     def test_mode_separation_at_least_half_bandwidth(self):
         rng = np.random.default_rng(5)
         grid = rng.uniform(0.01, 1, size=(32, 32))
-        modes = find_modes(grid, 3.0, 64)
+        modes = find_modes_volume(grid[None], 3.0, 64)[0]
         d = modes.positions[:, None, :] - modes.positions[None, :, :]
         dist = np.sqrt((d**2).sum(axis=2))
         off_diag = dist[~np.eye(len(modes), dtype=bool)]
@@ -261,7 +260,7 @@ class TestFindModes:
         )
         batched = find_modes_volume(grids, 3.0, 8)
         for grid, got in zip(grids, batched):
-            single = find_modes(grid, 3.0, 8)
+            single = find_modes_volume(grid[None], 3.0, 8)[0]
             np.testing.assert_allclose(
                 got.positions, single.positions, atol=1e-9
             )
@@ -270,9 +269,9 @@ class TestFindModes:
     def test_parameter_validation(self):
         grid = np.ones((8, 8))
         with pytest.raises(ValueError):
-            find_modes(grid, 0.0, 4)
+            find_modes_volume(grid[None], 0.0, 4)
         with pytest.raises(ValueError):
-            find_modes(grid, 3.0, 0)
+            find_modes_volume(grid[None], 3.0, 0)
 
 
 def assert_matches_reference(grids, bandwidth, max_candidates):
@@ -359,20 +358,27 @@ class TestReferenceEngine:
         # coarse coordinates make exact ties and exact-radius distances common
         points = rng.integers(0, 12, size=(n, 2)) * 0.5
         values = np.sort(rng.integers(0, 5, size=n).astype(np.float64))[::-1]
+        groups = np.zeros(n, dtype=np.intp)
         for radius in (0.5, 1.0, 1.5, 3.0):
             for limit in (1, 3, n):
-                got = hm._greedy_suppress(points, values, radius, limit)
+                keep = hm._suppress(points[:, 0], points[:, 1], groups, radius, limit)
+                got = points[keep], values[keep]
                 want = ref.greedy_suppress(points, values, radius, limit)
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
 
     def test_nms_matches_loop_suppression(self, monkeypatch):
+        def loop_suppress(x, y, groups, radius, limit):  # one group, as in NMS
+            order = np.arange(len(x))
+            kept = ref.greedy_suppress(np.stack([x, y], axis=1), order, radius, limit)[1]
+            return np.isin(order, kept)
+
         rng = np.random.default_rng(13)
         grid = rng.integers(0, 3, size=(16, 16)).astype(np.float64)
         grid += render_gaussian((5.0, 9.0), 16) + render_gaussian((11.0, 4.0), 16)
         for limit, upscale in ((4, 2), (40, 1), (400, 4)):
             got = find_modes_nms(grid, limit, upscale=upscale, radius=1.5)
-            monkeypatch.setattr(hm, "_greedy_suppress", ref.greedy_suppress)
+            monkeypatch.setattr(hm, "_suppress", loop_suppress)
             want = find_modes_nms(grid, limit, upscale=upscale, radius=1.5)
             monkeypatch.undo()
             np.testing.assert_array_equal(got.positions, want.positions)

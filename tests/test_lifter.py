@@ -80,7 +80,7 @@ class TestForward:
         )
         x = np.zeros((1, 2 * m + 3))
         expected = np.maximum(b_h, 0.0) @ w_o + b_o
-        np.testing.assert_allclose(model.forward(x)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(model.lift_batch(x)[0].ravel(), expected, atol=1e-12)
 
     def test_input_layout_and_scaling(self):
         model = make_model(np.random.default_rng(2), num_joints=2)

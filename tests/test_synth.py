@@ -18,7 +18,6 @@ from poselift.synth import (
     bootstrap_mean_ci,
     default_camera,
     default_skeleton,
-    format_report,
     generate_frames,
     make_frame,
     place_subject,
@@ -239,7 +238,7 @@ class TestRunBenchmark:
         )
 
     def test_report_structure(self):
-        report = self.run()
+        report, _ = self.run()
         assert set(report["configs"]) == {"greedy", "prior"}
         for row in report["configs"].values():
             assert row["mpjpe_mean"] > 0
@@ -250,26 +249,21 @@ class TestRunBenchmark:
         assert lo <= delta["mpjpe_delta_mean"] <= hi
 
     def test_reproducible(self):
-        a = self.run()
-        b = self.run()
+        a, _ = self.run()
+        b, _ = self.run()
         assert a["configs"] == b["configs"]
         assert a["deltas_vs_baseline"] == b["deltas_vs_baseline"]
 
     def test_shared_test_split_across_configs(self):
         # both configs see identical frames: identical 2D error under a
         # zero-strength tie means candidate generation matched exactly
-        report = self.run()
-        greedy = report["_per_config"]["greedy"]
-        prior = report["_per_config"]["prior"]
+        _, per_frame = self.run()
+        greedy = per_frame["greedy"]
+        prior = per_frame["prior"]
         assert len(greedy["mpjpe"]) == len(prior["mpjpe"]) == 5
 
-    def test_format_report_mentions_every_config(self):
-        text = format_report(self.run())
-        assert "greedy" in text and "prior" in text
-        assert "MPJPE" in text
-
     def test_clean_frames_have_subpixel_2d_error(self):
-        report = run_benchmark(
+        report, _ = run_benchmark(
             default_skeleton(),
             default_camera(),
             n_train=20,
