@@ -65,14 +65,16 @@ def _config_flags(path, parser, command) -> list[str]:
     option's type and choices. A null value leaves the option unset.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             config = json.load(f)
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: config file is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
-        raise UsageError(f"config file is not valid JSON: {e}")
+        raise UsageError(f"{path}: config file is not valid JSON: {e}")
     if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise UsageError(f"{path}: config file must hold a JSON object")
     defaults = vars(parser.parse_args([command]))
     flags = []
     for key, value in config.items():
@@ -186,7 +188,6 @@ def _load_paired(path_a, dim_a, path_b, dim_b):
 
 def cmd_train_lifter(args) -> int:
     _require(args, "poses-2d", "poses-3d", "out")
-    _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
     hidden = tuple(int(s) for s in str(args.hidden_sizes).split(",") if s)
     config = LifterTrainConfig(
         learning_rate=args.learning_rate,
@@ -198,6 +199,7 @@ def cmd_train_lifter(args) -> int:
         input_mode=args.input_mode,
         seed=args.seed,
     )
+    _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
     model, final_loss = train_lifter(poses_2d, poses_3d, config)
     out = Path(args.out)
     save_model(model, out)
@@ -334,8 +336,6 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "volumes").mkdir(exist_ok=True)
 
     skeleton = default_skeleton()
     camera = default_camera(args.image_size)
@@ -353,6 +353,7 @@ def cmd_synth(args) -> int:
         depth_range=(args.depth_min, args.depth_max),
         grid_size=args.grid_size,
     )
+    (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
     entries = []
     for i, frame in enumerate(frames):
         rel = f"volumes/frame_{i:06d}.hmv"

@@ -181,8 +181,8 @@ def save_manifest(path, entries) -> None:
 
 def load_manifest(path):
     """(frame_index, relative_volume_path) pairs in file order; a line that
-    is not `frame<TAB>path` or repeats a frame index raises DataFormatError
-    naming the file and line."""
+    is not `frame<TAB>path`, whose path holds a NUL byte or that repeats a
+    frame index raises DataFormatError naming the file and line."""
     entries = []
     seen = set()
     for lineno, line in _read_lines(path):
@@ -194,6 +194,8 @@ def load_manifest(path):
             frame = int(frame)
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad manifest line")
+        if "\0" in rel:  # no file system path can hold one
+            raise DataFormatError(f"{path}:{lineno}: NUL byte in volume path")
         if frame in seen:
             raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
         seen.add(frame)

@@ -42,16 +42,19 @@ class InferenceConfig:
     nms_upscale: int = 8
 
     def __post_init__(self):
-        if self.prior_strength < 0:
-            raise ValueError("prior strength must be >= 0")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        # written so that NaN fails them too
+        if not 0 <= self.prior_strength < np.inf:
+            raise ValueError("prior strength must be finite and >= 0")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be finite and positive")
         if self.num_candidates < 1:
             raise ValueError("need at least one candidate")
         if self.prior_mode not in (PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC):
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         if self.generator not in (GENERATOR_MEAN_SHIFT, GENERATOR_NMS):
             raise ValueError(f"unknown candidate generator {self.generator!r}")
+        if self.nms_upscale < 1:
+            raise ValueError("nms_upscale must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,13 @@ class LifterTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # written so that NaN fails them too
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.noise_std < 0:
-            raise ValueError("noise std must be non-negative")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise std must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -75,10 +75,13 @@ class CorruptionSpec:
     noise_floor: float = 0.0  # uniform noise amplitude
 
     def __post_init__(self):
+        # written so that NaN fails them too
         if not 0 <= self.distractor_prob <= 1:
             raise ValueError("distractor probability must be in [0, 1]")
-        if self.strength < 0 or self.noise_floor < 0:
-            raise ValueError("strength and noise floor must be >= 0")
+        if not 0 <= self.offset_min <= self.offset_max < np.inf:
+            raise ValueError("distractor offsets must be finite with 0 <= min <= max")
+        if not (0 <= self.strength < np.inf and 0 <= self.noise_floor < np.inf):
+            raise ValueError("strength and noise floor must be finite and >= 0")
 
 
 def default_skeleton() -> SkeletonSpec:
@@ -222,7 +225,10 @@ def make_frame(
 
 def place_subject(pose_centered, camera: CameraModel, rng, depth_range=(3000.0, 6000.0)):
     """Translate a root-centered pose to a random position in the frustum."""
-    depth = rng.uniform(*depth_range)
+    low, high = depth_range
+    if not 0 < low <= high < np.inf:
+        raise ValueError(f"depth range must be finite, 0 < min <= max: {depth_range}")
+    depth = rng.uniform(low, high)
     # mild lateral jitter, in mm, so the subject stays well inside the view
     lateral = 0.1 * depth
     center = np.array(

@@ -3,10 +3,13 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poselift.cli import (
     EXIT_DATA,
@@ -75,6 +78,17 @@ class TestSynth:
             == EXIT_OK
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--noise-floor", "nan"), ("--distractor-strength", "inf"),
+         ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50")],
+        ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth"],
+    )
+    def test_bad_option_values_are_usage_errors(self, tmp_path, flags):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestTrainLifter:
     def test_missing_file_no_partial_output(self, tmp_path):
@@ -86,6 +100,25 @@ class TestTrainLifter:
             "--out", str(out),
         )
         assert code == EXIT_DATA
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--learning-rate", "nan"), ("--noise-std", "inf")],
+        ids=["nan-lr", "inf-noise"],
+    )
+    def test_non_finite_values_are_usage_errors(self, tmp_path, flags):
+        data = synth_dataset(tmp_path / "data", frames=3)
+        out = tmp_path / "model.bin"
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(data / "poses_2d.jsonl"),
+            "--poses-3d", str(data / "poses_3d.jsonl"),
+            "--out", str(out),
+            "--epochs", "2", "--hidden-sizes", "8",
+            *flags,
+        )
+        assert code == EXIT_USAGE
         assert not out.exists()
 
     def test_byte_identical_model_files(self, tmp_path):
@@ -365,6 +398,28 @@ class TestInfer:
         assert f"{manifest}:{len(lines) + 1}: " in capsys.readouterr().err
         assert not (out / "selection.jsonl").exists()
 
+    def test_nul_byte_in_manifest_path_is_data_error(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + ["9\tvolumes/\0.hmv"]) + "\n")
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        assert f"{manifest}:{len(lines) + 1}: NUL" in capsys.readouterr().err
+        assert not (out / "selection.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--prior-strength", "nan"), ("--prior-strength", "inf"), ("--bandwidth", "nan"),
+         ("--generator", "nms", "--nms-upscale", "0")],
+        ids=["nan-strength", "inf-strength", "nan-bandwidth", "zero-upscale"],
+    )
+    def test_bad_option_values_are_usage_errors(self, pipeline, flags):
+        tmp_path, data, model = pipeline
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_predictions_score_zero(self, pipeline):
@@ -450,6 +505,21 @@ class TestEval:
         )
         assert code == EXIT_DATA
         assert f"{bad}:1: not UTF-8" in capsys.readouterr().err
+
+    def test_nul_byte_in_manifest_path_is_data_error(self, pipeline, capsys):
+        _, data, _ = pipeline
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1] = "1\tvolumes/frame\0.hmv"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = run(
+            "eval",
+            "--pred-2d", str(data / "poses_2d.jsonl"),
+            "--gt-2d", str(data / "poses_2d.jsonl"),
+            "--manifest", str(manifest),
+        )
+        assert code == EXIT_DATA
+        assert f"{manifest}:2: NUL" in capsys.readouterr().err
 
     def test_no_inputs(self):
         assert run("eval") == EXIT_USAGE
@@ -549,6 +619,44 @@ class TestConfigFile:
         assert (
             run("synth", "--config", str(tmp_path / "nope.json")) == EXIT_USAGE
         )
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{not json")
+        assert run("synth", "--config", str(config)) == EXIT_USAGE
+        assert f"{config}: config file is not valid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"frames": 1\xff}')
+        assert run("synth", "--config", str(config)) == EXIT_USAGE
+        assert f"{config}: config file is not UTF-8" in capsys.readouterr().err
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        # each example writes its config into the same tmp_path
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(position=st.integers(0, 2**16), byte=st.none() | st.integers(0, 255))
+    def test_mutated_config_exits_0_or_1(self, tmp_path, position, byte):
+        """A valid synth config cut at one byte or with one byte replaced
+        runs or is a usage error; a run writes strict JSON provenance."""
+        blob = json.dumps({"frames": 1, "grid_size": 8, "seed": 3}).encode()
+        position %= len(blob)
+        tail = b"" if byte is None else bytes([byte]) + blob[position + 1 :]
+        config = tmp_path / "config.json"
+        config.write_bytes(blob[:position] + tail)
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "data"
+        code = run("synth", "--config", str(config), "--out-dir", str(out))
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_OK:
+
+            def reject(constant):
+                raise ValueError(f"provenance.json holds {constant}")
+
+            json.loads((out / "provenance.json").read_text(), parse_constant=reject)
 
 
 class TestUsage:

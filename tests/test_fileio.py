@@ -243,6 +243,12 @@ class TestManifest:
         with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: ")):
             load_manifest(path)
 
+    def test_nul_byte_in_path(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("0\ta.hmv\n1\tb\0.hmv\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: NUL")):
+            load_manifest(path)
+
 
 class TestAtomicWrite:
     def test_overwrites_in_place(self, tmp_path):

@@ -159,6 +159,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             InferenceConfig(generator="random")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["prior_strength", "bandwidth"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            InferenceConfig(**{field: value})
+
+    def test_nms_upscale_below_one_rejected(self):
+        with pytest.raises(ValueError, match="nms_upscale"):
+            InferenceConfig(nms_upscale=0)
+
 
 JOINTS = np.array([(8.0, 9.0), (22.0, 10.0), (16.0, 24.0)])
 

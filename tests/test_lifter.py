@@ -291,6 +291,12 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             LifterTrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["learning_rate", "noise_std"])
+    def test_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            LifterTrainConfig(**{field: value})
+
     def test_normalized_input_mode(self):
         rng = np.random.default_rng(17)
         poses_2d, poses_3d = small_dataset(rng)

@@ -61,6 +61,14 @@ class TestSkeletonSpec:
         with pytest.raises(ValueError):
             CorruptionSpec(strength=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["strength", "noise_floor", "offset_min", "offset_max"]
+    )
+    def test_corruption_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            CorruptionSpec(**{field: value})
+
 
 class TestSamplePose:
     def test_bone_lengths_exact(self):
@@ -106,6 +114,17 @@ def placed_pose(seed=0, depth_range=(3000.0, 6000.0)):
     rng = np.random.default_rng(seed)
     pose = sample_pose(default_skeleton(), rng)
     return place_subject(pose, default_camera(), rng, depth_range), rng
+
+
+class TestPlaceSubject:
+    @pytest.mark.parametrize(
+        "depth_range",
+        [(np.nan, 6000.0), (3000.0, np.nan), (3000.0, np.inf), (-100.0, 50.0),
+         (0.0, 50.0), (6000.0, 3000.0)],
+    )
+    def test_bad_depth_range_rejected(self, depth_range):
+        with pytest.raises(ValueError, match="depth range"):
+            placed_pose(depth_range=depth_range)
 
 
 class TestMakeFrame:
