@@ -249,15 +249,25 @@ def cmd_infer(args) -> int:
     frames, poses_2d, poses_3d, poses_3d_abs, selections = [], [], [], [], []
     failures = 0
     for frame, rel in entries:
+        path = manifest_dir / rel
         try:
-            volume = fileio.load_volume(manifest_dir / rel)
+            volume = fileio.load_volume(path)
+            if volume.num_joints != model.num_joints:
+                raise DataFormatError(
+                    f"{path}: volume has {volume.num_joints} joints, "
+                    f"model expects {model.num_joints}"
+                )
             result = infer(volume, model, config, camera=camera)
-        except (DataFormatError, ValueError, OSError) as e:
-            print(f"frame {frame}: failed: {e}", file=sys.stderr)
+        except (DataFormatError, OSError) as e:
+            error = str(e)
+        except FloatingPointError as e:  # the lift overflows on this input
+            error = f"{path} with model {args.model}: {e}"
+        else:
+            error = None
+        if error is not None:
+            print(f"frame {frame}: failed: {error}", file=sys.stderr)
             failures += 1
-            selections.append(
-                {"frame": frame, "failed": True, "error": str(e)}
-            )
+            selections.append({"frame": frame, "failed": True, "error": error})
             continue
         frames.append(frame)
         poses_2d.append(result.pose_2d)
@@ -279,7 +289,7 @@ def cmd_infer(args) -> int:
     fileio.save_poses(out_dir / "poses_3d_absolute.jsonl", poses_3d_abs, frames)
     fileio.atomic_write_text(
         out_dir / "selection.jsonl",
-        "\n".join(json.dumps(s) for s in selections) + "\n",
+        "".join(json.dumps(s) + "\n" for s in selections),
     )
     print(f"processed {len(frames)} frames, {failures} failed")
     return EXIT_DATA if failures else EXIT_OK

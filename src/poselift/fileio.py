@@ -63,8 +63,8 @@ def save_poses(path, poses, frames=None) -> None:
     lines = []
     for frame, pose in zip(frames, poses):
         joints = np.asarray(pose, dtype=np.float64).tolist()
-        lines.append(json.dumps({"frame": int(frame), "joints": joints}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append(json.dumps({"frame": int(frame), "joints": joints}) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def load_poses(path, dim: int | None = None):

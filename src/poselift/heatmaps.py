@@ -89,9 +89,15 @@ _PROBE_DIRECTIONS = np.array(
 #
 # Fractions are looked up in a table of _FRACTION_CELLS^2 cells; a cell
 # that no pixel-boundary circle crosses (with a relative margin of
-# _CELL_MARGIN) maps to its mask directly, the rest are tested exactly.
+# _CELL_MARGIN) maps to its mask directly. In a cell that at most
+# _CELL_EDGES circles cross, every other edge offset is on the same side
+# for all of the cell's fractions, so the bits of those few "unsure" edges
+# fix the mask: the cell gets a slot, whose row of the slot table maps
+# their bits to a mask id, filled in as points meet it. The remaining
+# cells are tested exactly.
 _FRACTION_CELLS = 512  # a power of two, so fraction * cells is exact
 _CELL_MARGIN = 1e-12
+_CELL_EDGES = 2
 _MASK_SLOTS = 1 << 20  # mask ids per base pixel in a state key
 
 # Trajectory points are rounded to this many decimals after every step, and
@@ -122,7 +128,7 @@ class _WindowMasks:
 
     Masks get ids in the order they are first met; the catalog only grows,
     and an id never changes its meaning. Instances are shared through
-    _window_masks, so the catalog grows under a lock.
+    _window_masks, so the catalog and the slot table grow under a lock.
     """
 
     def __init__(self, bandwidth: float):
@@ -175,6 +181,8 @@ class _WindowMasks:
         return self._mask_ids(d2 < self.b2)
 
     def _build_lookup(self):
+        """Fraction lookup: a mask id per sure cell, -1 per cell tested
+        exactly and -2 - slot per slotted cell; sets the slots' edges."""
         n = _FRACTION_CELLS
         edges = np.arange(n + 1) / n
         near_x, far_x = _square_range(self.edge[0][:, None], edges[:-1], edges[1:])
@@ -184,6 +192,8 @@ class _WindowMasks:
         # one more row and column, all unsure, for a fraction that rounds
         # to 1.0 (a point a hair below an integer, as saddle probes can be)
         lookup = np.full((n + 1, n + 1), -1, dtype=np.int32)
+        slot_edges = []
+        slots = 0
         band = 8  # rows of cells per pass, to bound the temporaries
         d2 = np.empty((len(far_x), band, n))
         for top in range(0, n, band):
@@ -191,12 +201,41 @@ class _WindowMasks:
             np.add(far_y[:, rows, None], far_x[:, None, :], out=d2)
             inside = d2 < inside_at
             np.add(near_y[:, rows, None], near_x[:, None, :], out=d2)
-            sure = np.all(inside | (d2 > outside_at), axis=0)
+            unsure = ~inside & (d2 <= outside_at)
+            sure = ~unsure.any(axis=0)
             lookup[rows, :n][sure] = self._mask_ids(inside[:, sure])
+            unsure = unsure[:, ~sure]  # (edges, unsure cells)
+            slotted = unsure.sum(axis=0) <= _CELL_EDGES
+            # the unsure edges first; a sure edge that fills a slot's
+            # place has the same bit at every fraction of the cell
+            order = np.argsort(~unsure[:, slotted], axis=0, kind="stable")
+            # a copy: a view would keep the band's whole argsort alive
+            slot_edges.append(order[:_CELL_EDGES].T.copy())
+            code = np.full(len(slotted), -1)
+            code[slotted] = -2 - np.arange(slots, slots + len(order.T))
+            lookup[rows, :n][~sure] = code
+            slots += len(order.T)
+        self.slot_edges = np.concatenate(slot_edges)
+        self.slot_ids = np.full(slots << self.slot_edges.shape[1], -1, dtype=np.int32)
         return lookup.ravel()
 
+    def _slot_masks(self, slot, fx, fy):
+        """Mask ids of points in slotted cells: their slots' edges are
+        tested, and a bit pattern not met before is resolved by exact."""
+        at = self.slot_edges[slot]
+        d2 = (self.edge[0][at] - fx[:, None]) ** 2 + (self.edge[1][at] - fy[:, None]) ** 2
+        pattern = (d2 < self.b2) @ (1 << np.arange(at.shape[1]))
+        entry = (slot << at.shape[1]) + pattern
+        ids = self.slot_ids[entry]
+        miss = np.flatnonzero(ids < 0)
+        if len(miss):
+            ids[miss] = self.exact(fx[miss], fy[miss])
+            with self._lock:
+                self.slot_ids[entry[miss]] = ids[miss]
+        return ids
+
     def states(self, x, y):
-        """Base pixel (bx, by) and mask id per point (x, y)."""
+        """Base pixel floors (bx, by), as floats, and mask id per point (x, y)."""
         bx, by = np.floor(x), np.floor(y)
         fx, fy = x - bx, y - by
         cell = (fy * _FRACTION_CELLS).astype(np.intp) * (_FRACTION_CELLS + 1)
@@ -204,8 +243,14 @@ class _WindowMasks:
         masks = self.lookup[cell]
         unsure = np.flatnonzero(masks < 0)
         if len(unsure):
-            masks[unsure] = self.exact(fx[unsure], fy[unsure])
-        return bx.astype(np.intp), by.astype(np.intp), masks
+            slot = -2 - masks[unsure]
+            slotted = slot >= 0
+            at = unsure[slotted]
+            masks[at] = self._slot_masks(slot[slotted], fx[at], fy[at])
+            at = unsure[~slotted]
+            if len(at):
+                masks[at] = self.exact(fx[at], fy[at])
+        return bx, by, masks
 
 
 @functools.lru_cache(maxsize=16)
@@ -268,7 +313,7 @@ class _RowSums:
 
     def cells(self, joints, bx, by):
         """Table index of each base pixel (bx, by) of a joint."""
-        return (joints * self.height + by + self.masks.r) * self.width + bx + 1
+        return ((joints * self.height + self.masks.r + by) * self.width + 1 + bx).astype(np.intp)
 
     def index(self, cells, mask_ids):
         """Table indices (rows, n) of each state's mask rows."""
@@ -323,27 +368,33 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
     """
     joints, by, bx = np.nonzero(grids > 0)
     x, y = bx.astype(np.float64), by.astype(np.float64)
+    base = sums.cells(joints, 0, 0)  # table index of pixel (0, 0) of the joint
     # seeds sit on pixels, all in the seed mask: no states() lookup, whose
     # (0, 0) cell is unsure at integer bandwidths
+    bx, by = x, y
     mask_ids = np.full(len(x), masks.seed_mask)
     record = [[], [], []]  # per recorded point: state key and target
     for step in range(MAX_ITERATIONS):
         if step:
             bx, by, mask_ids = masks.states(x, y)
-        cells = sums.cells(joints, bx, by)
-        key = cells * _MASK_SLOTS + mask_ids
+        cells = base + (by * sums.width + bx).astype(np.intp)
         tx, ty, _ = sums.step(cells, bx, by, mask_ids)
         dx, dy = tx - x, ty - y
-        moved = dx * dx + dy * dy >= _MOVED_D2
+        dx *= dx
+        dy *= dy
+        dx += dy
+        moved = dx >= _MOVED_D2
         stop, go = np.flatnonzero(~moved), np.flatnonzero(moved)
-        for column, values in zip(record, (key, tx, ty)):
-            column.append(values.take(stop))
+        key = cells.take(stop) * _MASK_SLOTS + mask_ids.take(stop)
+        for column, values in zip(record, (key, tx.take(stop), ty.take(stop))):
+            column.append(values)
         x, y = _round(tx.take(go)), _round(ty.take(go))
-        joints = joints.take(go)
+        base = base.take(go)
         if len(go) == 0:
             break
     else:  # at the iteration cap: record the rest where they stand
-        for column, values in zip(record, (key.take(go), x, y)):
+        key = cells.take(go) * _MASK_SLOTS + mask_ids.take(go)
+        for column, values in zip(record, (key, x, y)):
             column.append(values)
     keys, tx, ty = (np.concatenate(c) for c in record)
     first = np.unique(keys, return_index=True)[1]

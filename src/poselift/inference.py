@@ -90,25 +90,27 @@ def consistency_priors(
     (perspective), or with the depth axis dropped (orthographic) -- and the
     value is strength times the squared distance between the normalized
     candidate and the normalized re-projection. Candidates whose absolute
-    lift has a joint at non-positive depth, or whose pose or re-projection
-    cannot be normalized, get +inf. Raises ValueError for non-finite lifts.
+    lift has a joint at non-positive depth, whose re-projection overflows,
+    or whose pose or re-projection cannot be normalized, get +inf. Raises
+    ValueError for non-finite lifts.
     """
     poses_2d = np.asarray(poses_2d, dtype=np.float64)
     lifted = np.asarray(lifted, dtype=np.float64)
     if mode == PRIOR_PERSPECTIVE:
         absolute = as_poses(lifted + model.mean_offset, 3, ndim=3)
-        behind = np.any(absolute[..., 2] <= 0, axis=1)
+        unseen = np.any(absolute[..., 2] <= 0, axis=1)
         reproj = np.zeros(poses_2d.shape)
-        projected = project_perspective(absolute[~behind], camera)
-        reproj[~behind] = as_poses(projected, 2, ndim=3)
+        reproj[~unseen] = project_perspective(absolute[~unseen], camera)
+        unseen |= ~np.isfinite(reproj).all(axis=(1, 2))
+        reproj[unseen] = 0.0
     else:
-        behind = np.zeros(len(lifted), dtype=bool)
+        unseen = np.zeros(len(lifted), dtype=bool)
         reproj = project_orthographic(lifted)
     x_norm, _, x_scale = normalize_poses(poses_2d)
     y_norm, _, y_scale = normalize_poses(reproj)
     diff = (x_norm - y_norm).reshape(len(poses_2d), 2 * poses_2d.shape[1])
     values = strength * np.sum(diff**2, axis=1)
-    values[behind | (x_scale <= DEGENERATE_TOL) | (y_scale <= DEGENERATE_TOL)] = np.inf
+    values[unseen | (x_scale <= DEGENERATE_TOL) | (y_scale <= DEGENERATE_TOL)] = np.inf
     return values
 
 
@@ -140,7 +142,8 @@ def infer(
     is the greedy top-score pose. Every candidate is lifted once, in one
     batch. Candidates whose prior cannot be evaluated (a lift behind the
     camera, or joints that coincide) get +inf energy instead of aborting
-    the frame.
+    the frame. Raises FloatingPointError when a lift is not finite (the
+    network overflows on this input).
     """
     if config.prior_mode == PRIOR_PERSPECTIVE and camera is None:
         raise ValueError("perspective prior requires a camera model")
@@ -159,6 +162,8 @@ def infer(
     poses_img = grid_to_image(positions[indices + starts], volume.box, volume.grid_size)
 
     lifted = model.lift_batch(model.build_inputs(poses_img)[0])
+    if not np.all(np.isfinite(lifted + model.mean_offset)):
+        raise FloatingPointError("lifted poses are not finite")
     if config.prior_strength == 0:
         priors = np.zeros(len(assignments))
     else:

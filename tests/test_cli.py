@@ -3,7 +3,9 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
 import hashlib
 import json
+import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from poselift import cli
 from poselift.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -18,7 +21,9 @@ from poselift.cli import (
     EXIT_USAGE,
     main,
 )
-from poselift.fileio import load_poses, save_poses
+from poselift.fileio import load_poses, load_volume, save_poses, save_volume
+from poselift.heatmaps import HeatMapVolume
+from poselift.lifter import load_model, save_model
 
 
 def run(*argv):
@@ -47,6 +52,18 @@ def train_model(dataset, out, epochs=3, seed=0, extra=()):
     )
     assert code == EXIT_OK
     return out
+
+
+def _strict_json(path):
+    """Parse a JSON file, or each line of a JSONL file, with NaN and
+    Infinity rejected."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    text = path.read_text()
+    for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+        json.loads(doc, parse_constant=reject)
 
 
 class TestSynth:
@@ -362,6 +379,61 @@ class TestInfer:
         assert selections[3]["failed"] is True
         assert str(victim) in selections[3]["error"]
 
+    def test_joint_mismatched_volume_fails_its_frame(self, pipeline):
+        tmp_path, data, model = pipeline
+        victim = data / "volumes" / "frame_000002.hmv"
+        volume = load_volume(victim)
+        save_volume(victim, HeatMapVolume(maps=volume.maps[:16], box=volume.box))
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) == EXIT_DATA
+        selections = [
+            json.loads(l)
+            for l in (out / "selection.jsonl").read_text().splitlines()
+        ]
+        assert [s.get("failed", False) for s in selections] == [False, False, True, False]
+        assert f"{victim}: volume has 16 joints, model expects 17" in selections[2]["error"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_lift_fails_its_frames(self, pipeline):
+        tmp_path, data, model = pipeline
+        fit = load_model(model)
+        huge = tmp_path / "huge.bin"  # finite weights whose lift overflows
+        save_model(replace(fit, weights=fit.weights[:-1] + (fit.weights[-1] * 1e306,)), huge)
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, huge, out)) == EXIT_DATA
+        selections = [
+            json.loads(l)
+            for l in (out / "selection.jsonl").read_text().splitlines()
+        ]
+        failed = [s for s in selections if s.get("failed")]
+        assert failed
+        for s in failed:
+            assert f"with model {huge}: lifted poses are not finite" in s["error"]
+        for written in out.iterdir():
+            _strict_json(written)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_reprojection_gets_no_prior(self, pipeline):
+        tmp_path, data, model = pipeline
+        fit = load_model(model)
+        far = tmp_path / "far.bin"  # finite lifts whose projections overflow
+        save_model(replace(fit, mean_offset=np.array([1e306, 0.0, 4000.0])), far)
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, far, out)) == EXIT_OK
+        for line in (out / "selection.jsonl").read_text().splitlines():
+            assert set(json.loads(line)["energies"]) == {None}
+
+    def test_program_error_is_not_a_failed_frame(self, pipeline, monkeypatch):
+        tmp_path, data, model = pipeline
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "infer", broken)
+        out = tmp_path / "out"
+        assert run(*self.infer_args(data, model, out)) != EXIT_DATA
+        assert not (out / "selection.jsonl").exists()
+
     def test_malformed_model_is_data_error(self, pipeline, capsys):
         tmp_path, data, _ = pipeline
         model = tmp_path / "bad.bin"
@@ -652,11 +724,70 @@ class TestConfigFile:
         code = run("synth", "--config", str(config), "--out-dir", str(out))
         assert code in (EXIT_OK, EXIT_USAGE)
         if code == EXIT_OK:
+            _strict_json(out / "provenance.json")
 
-            def reject(constant):
-                raise ValueError(f"provenance.json holds {constant}")
 
-            json.loads((out / "provenance.json").read_text(), parse_constant=reject)
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A two-frame synth set on 8x8 grids and a small model trained on it."""
+    root = tmp_path_factory.mktemp("small")
+    data = synth_dataset(root / "data", frames=2, extra=("--grid-size", "8"))
+    train_model(data, data / "model.bin", epochs=1)
+    return data
+
+
+class TestDataFilesUnderMutation:
+    # file mutated -> the subcommand that reads it
+    TARGETS = {
+        "poses_2d.jsonl": "eval",
+        "poses_3d.jsonl": "eval",
+        "manifest.txt": "infer",
+        "volumes/frame_000000.hmv": "infer",
+        "camera.json": "infer",
+        "model.bin": "infer",
+    }
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(
+        target=st.sampled_from(sorted(TARGETS)),
+        position=st.integers(0, 2**16),
+        byte=st.none() | st.integers(0, 255),
+    )
+    def test_exits_0_or_2_and_writes_strict_json(self, small_pipeline, target, position, byte):
+        """A valid data file cut at one byte or with one byte replaced (a
+        model's checksum re-sealed) runs or is a data error; every JSON or
+        JSONL file written parses with NaN and Infinity rejected."""
+        work = Path(tempfile.mkdtemp(dir=small_pipeline.parent))
+        data = work / "data"
+        shutil.copytree(small_pipeline, data)
+        path = data / target
+        blob = path.read_bytes()
+        payload = blob[:-32] if target == "model.bin" else blob
+        position %= len(payload)
+        tail = b"" if byte is None else bytes([byte]) + payload[position + 1 :]
+        payload = payload[:position] + tail
+        if target == "model.bin":
+            payload += hashlib.sha256(payload).digest()
+        path.write_bytes(payload)
+        out = work / "out"
+        if self.TARGETS[target] == "infer":
+            code = run(
+                "infer", "--manifest", str(data / "manifest.txt"),
+                "--model", str(data / "model.bin"), "--camera", str(data / "camera.json"),
+                "--out-dir", str(out), "--num-candidates", "4",
+            )
+        else:
+            out.mkdir()
+            code = run(
+                "eval", "--pred-2d", str(data / "poses_2d.jsonl"),
+                "--gt-2d", str(small_pipeline / "poses_2d.jsonl"),
+                "--pred-3d", str(data / "poses_3d.jsonl"),
+                "--gt-3d", str(small_pipeline / "poses_3d.jsonl"),
+                "--manifest", str(data / "manifest.txt"), "--out", str(out / "report.json"),
+            )
+        assert code in (EXIT_OK, EXIT_DATA)
+        for written in out.glob("*.json*") if out.exists() else ():
+            _strict_json(written)
 
 
 class TestUsage:

@@ -6,6 +6,9 @@ mode finding against the synthetic Gaussian renderer and against that
 engine.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -333,6 +336,66 @@ class TestReferenceEngine:
                     if ((cx + ox) - px) ** 2 + ((cy + oy) - py) ** 2 < bandwidth**2
                 }
                 assert inside == want
+
+    @pytest.mark.parametrize("bandwidth", [0.01, 0.7, 1.0, 2.5, 3.0, 7.3])
+    def test_states_match_exact(self, bandwidth):
+        """The fraction lookup and the slot table give exact's mask ids,
+        on a fresh instance (slot table empty) and again once it is full."""
+        masks = hm._WindowMasks(bandwidth)
+        n = hm._FRACTION_CELLS
+        rng = np.random.default_rng(14)
+        # fractions on an edge offset's circle, where a cell is unsure
+        ox, oy = np.repeat(masks.edge, 50, axis=1)
+        angle = rng.uniform(0, 2 * np.pi, len(ox))
+        circle = [ox - bandwidth * np.cos(angle), oy - bandwidth * np.sin(angle)]
+        # and near where two circles cross, where a cell can be unsure for
+        # more edges than a slot holds
+        i, j = np.triu_indices(masks.edge.shape[1], 1)
+        mid = (masks.edge[:, i] + masks.edge[:, j]) / 2
+        half = (masks.edge[:, j] - masks.edge[:, i]) / 2
+        reach = np.sqrt(np.maximum(bandwidth**2 / (half**2).sum(axis=0) - 1, 0))
+        perp = half[::-1] * [[-1], [1]] * reach
+        cross = np.repeat(np.concatenate([mid + perp, mid - perp], axis=1), 64, axis=1)
+        cross += rng.uniform(-2, 2, cross.shape) / n
+        fx = np.concatenate([circle[0], cross[0]])
+        fy = np.concatenate([circle[1], cross[1]])
+        keep = (fx >= 0) & (fx < 1) & (fy >= 0) & (fy < 1)
+        below_one = np.nextafter(1.0, 0.0)
+        fx = np.concatenate([rng.random(4000), fx[keep], [below_one, 0.5, below_one]])
+        fy = np.concatenate([rng.random(4000), fy[keep], [0.25, below_one, below_one]])
+        bx = rng.integers(-2, 30, len(fx))
+        by = rng.integers(-2, 30, len(fx))
+        x = np.concatenate([bx + fx, np.arange(-2.0, 6.0), np.arange(-2, 6) * 0.5, [-(2.0**-60)]])
+        y = np.concatenate([by + fy, np.arange(6.0, -2.0, -1), np.full(8, -0.25), [7 - 2.0**-60]])
+        if bandwidth == 2.5:  # has cells with more unsure edges than a slot holds
+            assert (masks.lookup.reshape(n + 1, n + 1)[:n, :n] == -1).any()
+        for _ in ("cold", "warm"):
+            bx, by, ids = masks.states(x, y)
+            np.testing.assert_array_equal(bx, np.floor(x))
+            np.testing.assert_array_equal(by, np.floor(y))
+            np.testing.assert_array_equal(ids, masks.exact(x - bx, y - by))
+        assert (masks.slot_ids >= 0).any()
+
+    def test_shared_masks_under_threads(self):
+        """Four threads fill one shared slot table from cold and get the
+        serial results."""
+        frames = generate_frames(
+            default_skeleton(), default_camera(), 4, CorruptionSpec(noise_floor=0.02), seed=5
+        )
+        grids = [frame.volume.maps for frame in frames]
+        bandwidth = 2.85  # no other test uses it: the shared table starts empty
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                jobs = [pool.submit(find_modes_volume, g, bandwidth, 64) for g in grids]
+                threaded = [job.result(timeout=120) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        for grid, got in zip(grids, threaded):
+            for a, b in zip(got, find_modes_volume(grid, bandwidth, 64)):
+                np.testing.assert_array_equal(a.positions, b.positions)
+                np.testing.assert_array_equal(a.values, b.values)
 
     # Float values sit on a 2^-20 lattice, so every window sum is exact in
     # any order: densities that tie in exact arithmetic tie in both engines.
