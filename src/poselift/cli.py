@@ -8,6 +8,7 @@ flags win over config values. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,13 @@ import numpy as np
 
 from . import fileio
 from .fileio import DataFormatError
-from .geometry import error_2d, mpjpe, procrustes_error, image_to_crop
+from .geometry import (
+    DegeneratePoseError,
+    error_2d,
+    image_to_crop,
+    mpjpe,
+    procrustes_error,
+)
 from .inference import (
     GENERATOR_MEAN_SHIFT,
     GENERATOR_NMS,
@@ -37,9 +44,11 @@ from .lifter import (
 )
 from .synth import (
     CorruptionSpec,
+    _frames,
+    check_depth_range,
     default_camera,
     default_skeleton,
-    generate_frames,
+    generate_frames,  # noqa: F401 -- unused; bench/spans.py names cli.generate_frames
 )
 
 EXIT_OK = 0
@@ -88,6 +97,8 @@ def _config_flags(path, parser, command) -> list[str]:
             if value:
                 flags.append(option)
         elif value is not None:
+            if "\0" in str(value):  # no path or number holds one
+                raise UsageError(f"config key {key!r} holds a NUL byte")
             flags.append(f"{option}={value}")
     return flags
 
@@ -163,6 +174,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _option_values():
+    """Turns the ValueError of a check on option values into UsageError."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
@@ -188,19 +208,23 @@ def _load_paired(path_a, dim_a, path_b, dim_b):
 
 def cmd_train_lifter(args) -> int:
     _require(args, "poses-2d", "poses-3d", "out")
-    hidden = tuple(int(s) for s in str(args.hidden_sizes).split(",") if s)
-    config = LifterTrainConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        epochs=args.epochs,
-        noise_std=args.noise_std,
-        batch_size=args.batch_size,
-        hidden_sizes=hidden,
-        input_mode=args.input_mode,
-        seed=args.seed,
-    )
+    with _option_values():
+        hidden = tuple(int(s) for s in str(args.hidden_sizes).split(",") if s)
+        config = LifterTrainConfig(
+            learning_rate=args.learning_rate,
+            momentum=args.momentum,
+            epochs=args.epochs,
+            noise_std=args.noise_std,
+            batch_size=args.batch_size,
+            hidden_sizes=hidden,
+            input_mode=args.input_mode,
+            seed=args.seed,
+        )
     _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
-    model, final_loss = train_lifter(poses_2d, poses_3d, config)
+    try:
+        model, final_loss = train_lifter(poses_2d, poses_3d, config)
+    except DegeneratePoseError as e:  # "pose k" counts in frame order
+        raise DataFormatError(f"{args.poses_2d}: {e}") from None
     out = Path(args.out)
     save_model(model, out)
     summary = {
@@ -229,14 +253,15 @@ def cmd_train_lifter(args) -> int:
 
 def cmd_infer(args) -> int:
     _require(args, "manifest", "model", "out-dir")
-    config = InferenceConfig(
-        prior_strength=args.prior_strength,
-        bandwidth=args.bandwidth,
-        num_candidates=args.num_candidates,
-        prior_mode=args.prior,
-        generator=args.generator,
-        nms_upscale=args.nms_upscale,
-    )
+    with _option_values():
+        config = InferenceConfig(
+            prior_strength=args.prior_strength,
+            bandwidth=args.bandwidth,
+            num_candidates=args.num_candidates,
+            prior_mode=args.prior,
+            generator=args.generator,
+            nms_upscale=args.nms_upscale,
+        )
     if config.prior_mode == PRIOR_PERSPECTIVE and not args.camera:
         raise UsageError("perspective prior requires --camera")
     camera = fileio.load_camera(args.camera) if args.camera else None
@@ -298,10 +323,7 @@ def cmd_infer(args) -> int:
 def _load_boxes(manifest_path):
     entries = fileio.load_manifest(manifest_path)
     manifest_dir = Path(manifest_path).parent
-    return {
-        frame: fileio.load_volume(manifest_dir / rel).box
-        for frame, rel in entries
-    }
+    return {frame: fileio.load_box(manifest_dir / rel) for frame, rel in entries}
 
 
 def cmd_eval(args) -> int:
@@ -311,9 +333,22 @@ def cmd_eval(args) -> int:
         raise UsageError("need --pred-3d/--gt-3d and/or --pred-2d/--gt-2d")
     report: dict = {}
     if have_3d:
-        _, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)
+        frames, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)
+        pair = f"{args.pred_3d} and {args.gt_3d}"
+        if not 0 <= args.root_index < len(gt[0]):
+            raise UsageError(
+                f"--root-index {args.root_index} is not a joint of the "
+                f"{len(gt[0])}-joint poses in {pair}"
+            )
+        if len(gt[0]) < 3:
+            raise DataFormatError(f"{pair}: similarity alignment needs 3 joints")
         vals_m = [mpjpe(g, p, args.root_index) for g, p in zip(gt, pred)]
-        vals_s = [procrustes_error(g, p) for g, p in zip(gt, pred)]
+        vals_s = []
+        for frame, g, p in zip(frames, gt, pred):
+            try:
+                vals_s.append(procrustes_error(g, p))
+            except DegeneratePoseError as e:
+                raise DataFormatError(f"{pair}: frame {frame}: {e}") from None
         report["mpjpe"] = {"mean": float(np.mean(vals_m)), "per_frame": vals_m}
         report["similarity"] = {
             "mean": float(np.mean(vals_s)),
@@ -343,35 +378,38 @@ def cmd_synth(args) -> int:
     _require(args, "out-dir")
     if args.frames < 1:
         raise UsageError("--frames must be >= 1")
+    if args.grid_size < 1:
+        raise UsageError("--grid-size must be >= 1")
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
 
     skeleton = default_skeleton()
     camera = default_camera(args.image_size)
-    corruption = CorruptionSpec(
-        distractor_prob=args.distractor_prob,
-        strength=args.distractor_strength,
-        noise_floor=args.noise_floor,
+    depth_range = (args.depth_min, args.depth_max)
+    with _option_values():
+        corruption = CorruptionSpec(
+            distractor_prob=args.distractor_prob,
+            strength=args.distractor_strength,
+            noise_floor=args.noise_floor,
+        )
+        check_depth_range(depth_range)
+    # each volume is written as it is made; only the poses are kept
+    entries, poses_2d, poses_3d = [], [], []
+    frames = _frames(
+        skeleton, camera, args.frames, corruption, args.seed, depth_range, args.grid_size
     )
-    frames = generate_frames(
-        skeleton,
-        camera,
-        args.frames,
-        corruption,
-        args.seed,
-        depth_range=(args.depth_min, args.depth_max),
-        grid_size=args.grid_size,
-    )
-    (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
-    entries = []
     for i, frame in enumerate(frames):
+        if i == 0:  # made only once a frame exists
+            (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
         rel = f"volumes/frame_{i:06d}.hmv"
         fileio.save_volume(out_dir / rel, frame.volume)
         entries.append((i, rel))
+        poses_2d.append(frame.pose_2d)
+        poses_3d.append(frame.pose_3d)
     fileio.save_manifest(out_dir / "manifest.txt", entries)
-    fileio.save_poses(out_dir / "poses_2d.jsonl", [f.pose_2d for f in frames])
-    fileio.save_poses(out_dir / "poses_3d.jsonl", [f.pose_3d for f in frames])
+    fileio.save_poses(out_dir / "poses_2d.jsonl", poses_2d)
+    fileio.save_poses(out_dir / "poses_3d.jsonl", poses_3d)
     fileio.save_camera(out_dir / "camera.json", camera)
     provenance = {
         "seed": args.seed,
@@ -390,7 +428,7 @@ def cmd_synth(args) -> int:
     fileio.atomic_write_text(
         out_dir / "provenance.json", json.dumps(provenance, indent=2) + "\n"
     )
-    print(f"wrote {len(frames)} frames to {out_dir}")
+    print(f"wrote {len(entries)} frames to {out_dir}")
     return EXIT_OK
 
 
@@ -406,11 +444,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if any("\0" in a for a in argv):  # no path or number holds one
+            raise UsageError("an argument holds a NUL byte")
         args = parser.parse_args(argv)
         if args.config:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, parser, args.command)
             args = parser.parse_args(argv[:at] + flags + argv[at:])
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -421,9 +463,6 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

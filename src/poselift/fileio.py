@@ -142,35 +142,51 @@ def save_volume(path, volume: HeatMapVolume) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
-def load_volume(path) -> HeatMapVolume:
+def _read_volume(path, read_maps: bool):
+    """(maps, box) of a heat-map volume file: maps as a flat float32 array,
+    or None unless read_maps. Either way the header, the file size and the
+    box are checked; without read_maps the map data is skipped, not read."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != VOLUME_MAGIC:
-        raise DataFormatError(f"{path}: bad magic; not a heat-map volume")
-    try:
-        m, h, w = struct.unpack_from("<III", blob, 4)
-        offset = 4 + 12
+        head = f.read(16)
+        if head[:4] != VOLUME_MAGIC:
+            raise DataFormatError(f"{path}: bad magic; not a heat-map volume")
+        try:
+            m, h, w = struct.unpack_from("<III", head, 4)
+        except struct.error as e:
+            raise DataFormatError(f"{path}: truncated heat-map volume: {e}")
         count = m * h * w
-        if offset + 4 * count > len(blob):
+        end = 16 + 4 * count  # where the 32-byte box starts
+        size = f.seek(0, os.SEEK_END)
+        if end + 32 > size:
             raise DataFormatError(
                 f"{path}: truncated heat-map volume: header declares "
-                f"{m}x{h}x{w} floats, the file holds {len(blob)} bytes"
+                f"{m}x{h}x{w} floats, the file holds {size} bytes"
             )
-        maps = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        ox, oy, side, _ = struct.unpack_from("<dddd", blob, offset)
-        offset += 32
-    except struct.error as e:
-        raise DataFormatError(f"{path}: truncated heat-map volume: {e}")
-    if offset != len(blob):
-        raise DataFormatError(f"{path}: trailing bytes in heat-map volume")
+        if end + 32 != size:
+            raise DataFormatError(f"{path}: trailing bytes in heat-map volume")
+        maps = None
+        if read_maps:
+            f.seek(16)
+            maps = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(m, h, w)
+        f.seek(end)
+        ox, oy, side, _ = struct.unpack("<dddd", f.read(32))
     try:
-        return HeatMapVolume(
-            maps=maps.reshape(m, h, w).astype(np.float64),
-            box=BoundingBox(origin_x=ox, origin_y=oy, side=side),
-        )
+        return maps, BoundingBox(origin_x=ox, origin_y=oy, side=side)
     except ValueError as e:
         raise DataFormatError(f"{path}: bad heat-map volume: {e}")
+
+
+def load_volume(path) -> HeatMapVolume:
+    maps, box = _read_volume(path, read_maps=True)
+    try:
+        return HeatMapVolume(maps=maps.astype(np.float64), box=box)
+    except ValueError as e:
+        raise DataFormatError(f"{path}: bad heat-map volume: {e}")
+
+
+def load_box(path) -> BoundingBox:
+    """The crop box of a heat-map volume file, read without its map data."""
+    return _read_volume(path, read_maps=False)[1]
 
 
 def save_manifest(path, entries) -> None:

@@ -54,6 +54,8 @@ class LifterModel:
     input_mode: str = INPUT_FULL
 
     def __post_init__(self):
+        if self.num_joints < 2:  # a pose of one joint cannot be normalized
+            raise ValueError("a lifter needs at least 2 joints")
         dims = self.layer_sizes
         if dims[0] != self.input_dim or dims[-1] != 3 * self.num_joints:
             raise ValueError("layer sizes do not match the joint count")
@@ -204,12 +206,13 @@ def _prepare_training_data(poses_2d, poses_3d, input_mode):
     TARGET_SCALE, and the removed 3D centroids (n, 3), in one batched pass.
 
     Raises ValueError for wrongly shaped or non-finite poses and
-    DegeneratePoseError for a 2D pose whose joints coincide.
+    DegeneratePoseError for poses of one joint or a 2D pose whose joints
+    coincide.
     """
     p2 = as_poses(poses_2d, 2, ndim=3)
     p3 = as_poses(poses_3d, 3, ndim=3)
-    if p2.shape[1] < 2:
-        raise ValueError("need at least 2 joints to normalize")
+    if p2.shape[1] < 2:  # one joint: zero scale
+        raise DegeneratePoseError("need at least 2 joints to normalize")
     if p3.shape[1] != p2.shape[1]:
         raise ValueError(
             f"2D poses have {p2.shape[1]} joints, 3D poses {p3.shape[1]}"

@@ -223,11 +223,17 @@ def make_frame(
     return HeatMapVolume(maps=maps, box=box), pose_2d, pose_3d
 
 
-def place_subject(pose_centered, camera: CameraModel, rng, depth_range=(3000.0, 6000.0)):
-    """Translate a root-centered pose to a random position in the frustum."""
+def check_depth_range(depth_range) -> None:
+    """ValueError unless depth_range is (low, high) with 0 < low <= high < inf."""
     low, high = depth_range
     if not 0 < low <= high < np.inf:
         raise ValueError(f"depth range must be finite, 0 < min <= max: {depth_range}")
+
+
+def place_subject(pose_centered, camera: CameraModel, rng, depth_range=(3000.0, 6000.0)):
+    """Translate a root-centered pose to a random position in the frustum."""
+    check_depth_range(depth_range)
+    low, high = depth_range
     depth = rng.uniform(low, high)
     # mild lateral jitter, in mm, so the subject stays well inside the view
     lateral = 0.1 * depth
@@ -244,6 +250,18 @@ class SyntheticFrame:
     pose_3d: np.ndarray  # camera space, mm
 
 
+def _frames(spec, camera, count, corruption, seed, depth_range, grid_size):
+    """generate_frames' frames, made one at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pose = sample_pose(spec, rng)
+        pose = place_subject(pose, camera, rng, depth_range)
+        volume, pose_2d, pose_3d = make_frame(
+            pose, camera, corruption, rng, grid_size=grid_size
+        )
+        yield SyntheticFrame(volume=volume, pose_2d=pose_2d, pose_3d=pose_3d)
+
+
 def generate_frames(
     spec: SkeletonSpec,
     camera: CameraModel,
@@ -253,16 +271,7 @@ def generate_frames(
     depth_range=(3000.0, 6000.0),
     grid_size: int = 32,
 ) -> list[SyntheticFrame]:
-    rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(count):
-        pose = sample_pose(spec, rng)
-        pose = place_subject(pose, camera, rng, depth_range)
-        volume, pose_2d, pose_3d = make_frame(
-            pose, camera, corruption, rng, grid_size=grid_size
-        )
-        frames.append(SyntheticFrame(volume=volume, pose_2d=pose_2d, pose_3d=pose_3d))
-    return frames
+    return list(_frames(spec, camera, count, corruption, seed, depth_range, grid_size))
 
 
 def evaluate_frames(frames, model, config: InferenceConfig, camera: CameraModel):

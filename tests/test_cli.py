@@ -4,7 +4,10 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from poselift.cli import (
     EXIT_USAGE,
     main,
 )
-from poselift.fileio import load_poses, load_volume, save_poses, save_volume
+from poselift.fileio import DataFormatError, load_poses, load_volume, save_poses, save_volume
 from poselift.heatmaps import HeatMapVolume
 from poselift.lifter import load_model, save_model
 
@@ -105,6 +108,28 @@ class TestSynth:
         out = tmp_path / "data"
         assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--grid-size", "0")])
+    def test_bad_seed_or_grid_size_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_frames(self, tmp_path):
+        # volumes are written as they are made: 56 more frames would hold
+        # 56 more 139 kB volumes if synth kept them until the end
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                out = tmp_path / f"frames_{frames}"
+                assert run("synth", "--out-dir", str(out), "--frames", str(frames)) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-use allocations count in neither run
+        assert peak(64) - peak(8) < 2**20
 
 
 class TestTrainLifter:
@@ -217,6 +242,35 @@ class TestTrainLifter:
 
     def test_missing_required_flag(self, tmp_path):
         assert run("train-lifter") == EXIT_USAGE
+
+    def test_bad_hidden_sizes_is_usage_error(self, tmp_path, capsys):
+        data = synth_dataset(tmp_path / "data", frames=3)
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(data / "poses_2d.jsonl"),
+            "--poses-3d", str(data / "poses_3d.jsonl"),
+            "--out", str(tmp_path / "model.bin"),
+            "--hidden-sizes", "16,x",
+        )
+        assert code == EXIT_USAGE
+        assert "invalid literal" in capsys.readouterr().err
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("joints", [1, 17], ids=["one-joint", "coinciding"])
+    def test_poses_that_cannot_be_normalized_are_data_errors(self, tmp_path, capsys, joints):
+        poses_2d = [np.full((joints, 2), 5.0), np.arange(2.0 * joints).reshape(joints, 2)]
+        poses_3d = [np.arange(3.0 * joints).reshape(joints, 3) + 3000.0] * 2
+        save_poses(tmp_path / "p2.jsonl", poses_2d)
+        save_poses(tmp_path / "p3.jsonl", poses_3d)
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(tmp_path / "p2.jsonl"),
+            "--poses-3d", str(tmp_path / "p3.jsonl"),
+            "--out", str(tmp_path / "model.bin"),
+        )
+        assert code == EXIT_DATA
+        assert str(tmp_path / "p2.jsonl") in capsys.readouterr().err
+        assert not (tmp_path / "model.bin").exists()
 
     def test_joint_count_mismatch_is_data_error(self, tmp_path, capsys):
         data = synth_dataset(tmp_path / "data", frames=3)
@@ -431,7 +485,10 @@ class TestInfer:
 
         monkeypatch.setattr(cli, "infer", broken)
         out = tmp_path / "out"
-        assert run(*self.infer_args(data, model, out)) != EXIT_DATA
+        # neither a failed frame (exit 2) nor a usage error (exit 1): the
+        # bug reaches the caller as a traceback
+        with pytest.raises(ValueError, match="boom"):
+            run(*self.infer_args(data, model, out))
         assert not (out / "selection.jsonl").exists()
 
     def test_malformed_model_is_data_error(self, pipeline, capsys):
@@ -596,6 +653,54 @@ class TestEval:
     def test_no_inputs(self):
         assert run("eval") == EXIT_USAGE
 
+    def test_manifest_boxes_are_read_without_map_data(self, pipeline):
+        # map data made NaN: load_volume rejects these volumes, but eval
+        # needs only each header and box, so its report does not change
+        tmp_path, data, _ = pipeline
+        args = [
+            "eval",
+            "--pred-2d", str(data / "poses_2d.jsonl"),
+            "--gt-2d", str(data / "poses_2d.jsonl"),
+            "--manifest", str(data / "manifest.txt"),
+        ]
+        assert run(*args, "--out", str(tmp_path / "a.json")) == EXIT_OK
+        for volume in (data / "volumes").iterdir():
+            blob = bytearray(volume.read_bytes())
+            blob[16:-32] = np.full((len(blob) - 48) // 4, np.nan, "<f4").tobytes()
+            volume.write_bytes(bytes(blob))
+            with pytest.raises(DataFormatError, match="non-finite"):
+                load_volume(volume)
+        assert run(*args, "--out", str(tmp_path / "b.json")) == EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_root_index_out_of_range_is_usage_error(self, tmp_path, capsys):
+        save_poses(tmp_path / "a.jsonl", [np.eye(3)])
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "a.jsonl"),
+            "--gt-3d", str(tmp_path / "a.jsonl"),
+            "--root-index", "3",
+        )
+        assert code == EXIT_USAGE
+        assert "--root-index 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pred", [np.zeros((2, 3)), np.zeros((3, 3))], ids=["two-joints", "coinciding"]
+    )
+    def test_poses_that_cannot_be_aligned_are_data_errors(self, tmp_path, capsys, pred):
+        save_poses(tmp_path / "pred.jsonl", [pred], frames=[4])
+        save_poses(tmp_path / "gt.jsonl", [np.eye(3)[: len(pred)]], frames=[4])
+        report = tmp_path / "report.json"
+        code = run(
+            "eval",
+            "--pred-3d", str(tmp_path / "pred.jsonl"),
+            "--gt-3d", str(tmp_path / "gt.jsonl"),
+            "--out", str(report),
+        )
+        assert code == EXIT_DATA
+        assert str(tmp_path / "pred.jsonl") in capsys.readouterr().err
+        assert not report.exists()
+
     def test_empty_pose_files(self, tmp_path, capsys):
         (tmp_path / "a.jsonl").write_text("")
         (tmp_path / "b.jsonl").write_text("")
@@ -681,6 +786,15 @@ class TestConfigFile:
         config.write_text(json.dumps({"out-dir": str(tmp_path / "d"), "bogus": 1}))
         assert run("synth", "--config", str(config)) == EXIT_USAGE
         assert not (tmp_path / "d").exists()
+
+    def test_nul_byte_in_a_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out-dir": str(tmp_path / "d\0"), "frames": 1}))
+        assert run("synth", "--config", str(config)) == EXIT_USAGE
+        assert "'out-dir' holds a NUL byte" in capsys.readouterr().err
+        assert run("synth", "--config", str(config) + "\0") == EXIT_USAGE
+        assert run("synth", "--out-dir", str(tmp_path / "d\0")) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_invalid_json(self, tmp_path):
         config = tmp_path / "config.json"
@@ -788,6 +902,17 @@ class TestDataFilesUnderMutation:
         assert code in (EXIT_OK, EXIT_DATA)
         for written in out.glob("*.json*") if out.exists() else ():
             _strict_json(written)
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # scipy.ndimage serves only --generator nms, which imports it on first use
+    code = "import sys, poselift, poselift.cli; print('scipy.ndimage' in sys.modules)"
+    src = Path(cli.__file__).parents[1]  # a fresh interpreter, this checkout
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestUsage:

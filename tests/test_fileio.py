@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from poselift.fileio import (
     DataFormatError,
     atomic_write_bytes,
+    load_box,
     load_camera,
     load_manifest,
     load_poses,
@@ -222,6 +223,46 @@ class TestVolume:
         with pytest.raises(DataFormatError, match=re.escape(str(path))) as e:
             load_volume(path)
         assert "finite" in str(e.value)
+
+
+class TestBox:
+    def test_box_without_map_data(self, tmp_path):
+        path = tmp_path / "vol.hmv"
+        volume = make_volume(np.random.default_rng(8))
+        save_volume(path, volume)
+        assert load_box(path) == volume.box
+        blob = bytearray(path.read_bytes())
+        blob[16:-32] = np.full((len(blob) - 48) // 4, np.nan, "<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        assert load_box(path) == volume.box  # the NaN maps are never decoded
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_volume(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b[:0],
+            lambda b: b[:3],
+            lambda b: b[:10],  # inside the header
+            lambda b: b[:100],  # inside the maps
+            lambda b: b[:-32],  # no box
+            lambda b: b[:-1],
+            lambda b: b + b"\0",
+            lambda b: b"XXXX" + b[4:],
+            lambda b: b[:-32] + struct.pack("<dddd", 0.0, 0.0, -1.0, 0.0),
+        ],
+        ids=["empty", "magic-cut", "header-cut", "maps-cut", "no-box", "box-cut",
+             "trailing", "bad-magic", "bad-box"],
+    )
+    def test_same_errors_as_load_volume(self, tmp_path, edit):
+        path = tmp_path / "vol.hmv"
+        save_volume(path, make_volume(np.random.default_rng(9)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=re.escape(str(path))) as want:
+            load_volume(path)
+        with pytest.raises(DataFormatError) as got:
+            load_box(path)
+        assert str(got.value) == str(want.value)
 
 
 class TestManifest:

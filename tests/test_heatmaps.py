@@ -289,6 +289,17 @@ def assert_matches_reference(grids, bandwidth, max_candidates):
         np.testing.assert_allclose(modes.values, values, rtol=1e-9)
 
 
+# Float values sit on a 2^-20 lattice, so every window sum is exact in any
+# order: densities that tie in exact arithmetic tie in both engines. The
+# engines add in different orders, so arbitrary floats repeated across a
+# grid make near-ties whose ranking differs between them.
+RANDOM_GRIDS = st.tuples(st.integers(1, 4), st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(0, 3).map(float))
+    | arrays(np.float64, shape, elements=st.integers(0, 2**20).map(lambda k: k / 2**20))
+)
+BANDWIDTHS = st.sampled_from([0.75, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+
 class TestReferenceEngine:
     """The window-state engine against the plain batched mean shift in
     tests/modes_reference.py."""
@@ -397,22 +408,23 @@ class TestReferenceEngine:
                 np.testing.assert_array_equal(a.positions, b.positions)
                 np.testing.assert_array_equal(a.values, b.values)
 
-    # Float values sit on a 2^-20 lattice, so every window sum is exact in
-    # any order: densities that tie in exact arithmetic tie in both engines.
-    # The engines add in different orders, so arbitrary floats repeated
-    # across a grid make near-ties whose ranking differs between them.
     @settings(max_examples=120, derandomize=True, deadline=None)
-    @given(
-        grids=st.tuples(st.integers(1, 4), st.integers(1, 16), st.integers(1, 16)).flatmap(
-            lambda shape: arrays(np.float64, shape, elements=st.integers(0, 3).map(float))
-            | arrays(np.float64, shape, elements=st.integers(0, 2**20).map(lambda k: k / 2**20))
-        ),
-        bandwidth=st.sampled_from([0.75, 1.0, 1.5, 2.0, 2.5, 3.0]),
-        max_candidates=st.integers(1, 50),
-    )
+    @given(grids=RANDOM_GRIDS, bandwidth=BANDWIDTHS, max_candidates=st.integers(1, 50))
     def test_random_grids(self, grids, bandwidth, max_candidates):
         assume(np.all(grids.reshape(len(grids), -1).max(axis=1) > 0))
         assert_matches_reference(grids, bandwidth, max_candidates)
+
+    # no bench or criterion frame reaches the cap of 100 steps; at these
+    # caps most trajectories are recorded where they stand
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(grids=RANDOM_GRIDS, bandwidth=BANDWIDTHS, max_candidates=st.integers(1, 50))
+    def test_iteration_cap(self, cap, grids, bandwidth, max_candidates):
+        assume(np.all(grids.reshape(len(grids), -1).max(axis=1) > 0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hm, "MAX_ITERATIONS", cap)
+            patch.setattr(ref, "MAX_ITERATIONS", cap)
+            assert_matches_reference(grids, bandwidth, max_candidates)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_suppression_matches_loop(self, seed):

@@ -49,6 +49,11 @@ def random_pose2d(rng, m=3):
 
 
 class TestForward:
+    def test_one_joint_model_rejected(self):
+        # a pose of one joint has no scale to normalize by
+        with pytest.raises(ValueError, match="at least 2 joints"):
+            make_model(np.random.default_rng(0), num_joints=1)
+
     def test_zero_weight_network_outputs_bias(self):
         m = 3
         w = (np.zeros((2 * m + 3, 4)), np.zeros((4, 3 * m)))
