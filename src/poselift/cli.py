@@ -48,7 +48,9 @@ from .synth import (
     check_depth_range,
     default_camera,
     default_skeleton,
-    generate_frames,  # noqa: F401 -- unused; bench/spans.py names cli.generate_frames
+    # unused: bench/spans.py names cli.generate_frames, and since cmd_synth
+    # streams from _frames, that span reads 0 s
+    generate_frames,  # noqa: F401
 )
 
 EXIT_OK = 0
@@ -393,7 +395,7 @@ def cmd_synth(args) -> int:
             strength=args.distractor_strength,
             noise_floor=args.noise_floor,
         )
-        check_depth_range(depth_range)
+        check_depth_range(depth_range, skeleton)
     # each volume is written as it is made; only the poses are kept
     entries, poses_2d, poses_3d = [], [], []
     frames = _frames(

@@ -223,11 +223,36 @@ def make_frame(
     return HeatMapVolume(maps=maps, box=box), pose_2d, pose_3d
 
 
-def check_depth_range(depth_range) -> None:
-    """ValueError unless depth_range is (low, high) with 0 < low <= high < inf."""
+def subject_reach(spec: SkeletonSpec) -> float:
+    """Bound, in mm, on any joint's distance from a pose's centroid.
+
+    A joint is no farther from the centroid than its mean distance to the
+    joints, and no farther from a joint than the bones on the tree path
+    between them, whatever the angles.
+    """
+    m = spec.num_joints
+    lengths = np.asarray(spec.bone_lengths, dtype=np.float64)
+    path = np.zeros((m, m))  # bone length along the path between two joints
+    for j in range(1, m):
+        # joints before j are not below it, so their paths pass its parent
+        path[j, :j] = path[spec.parents[j], :j] + lengths[j]
+        path[:j, j] = path[j, :j]
+    return float(path.mean(axis=1).max())
+
+
+def check_depth_range(depth_range, spec: SkeletonSpec | None = None) -> None:
+    """ValueError unless depth_range is (low, high) with 0 < low <= high < inf
+    and, given a skeleton, low beyond its reach, so that every joint of a
+    placed subject is in front of the camera."""
     low, high = depth_range
     if not 0 < low <= high < np.inf:
         raise ValueError(f"depth range must be finite, 0 < min <= max: {depth_range}")
+    reach = 0.0 if spec is None else subject_reach(spec)
+    if not low > reach:
+        raise ValueError(
+            f"depth range min {low} can put joints behind the camera: it must "
+            f"exceed the skeleton's reach from its centroid, {reach:.1f} mm"
+        )
 
 
 def place_subject(pose_centered, camera: CameraModel, rng, depth_range=(3000.0, 6000.0)):

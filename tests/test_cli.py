@@ -3,6 +3,7 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -101,8 +102,11 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags",
         [("--noise-floor", "nan"), ("--distractor-strength", "inf"),
-         ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50")],
-        ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth"],
+         ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50"),
+         ("--depth-min", "1", "--depth-max", "1"),
+         ("--depth-min", "100", "--depth-max", "1000")],
+        ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
+             "behind-camera", "partly-behind-camera"],
     )
     def test_bad_option_values_are_usage_errors(self, tmp_path, flags):
         out = tmp_path / "data"
@@ -907,10 +911,11 @@ class TestDataFilesUnderMutation:
 def test_import_leaves_scipy_ndimage_out():
     # scipy.ndimage serves only --generator nms, which imports it on first use
     code = "import sys, poselift, poselift.cli; print('scipy.ndimage' in sys.modules)"
-    src = Path(cli.__file__).parents[1]  # a fresh interpreter, this checkout
+    src = str(Path(cli.__file__).parents[1])  # a fresh interpreter, this checkout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
 

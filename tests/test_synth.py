@@ -16,6 +16,7 @@ from poselift.synth import (
     CorruptionSpec,
     SkeletonSpec,
     bootstrap_mean_ci,
+    check_depth_range,
     default_camera,
     default_skeleton,
     generate_frames,
@@ -23,6 +24,7 @@ from poselift.synth import (
     place_subject,
     run_benchmark,
     sample_pose,
+    subject_reach,
 )
 
 
@@ -125,6 +127,21 @@ class TestPlaceSubject:
     def test_bad_depth_range_rejected(self, depth_range):
         with pytest.raises(ValueError, match="depth range"):
             placed_pose(depth_range=depth_range)
+
+    def test_reach_bounds_every_joint(self):
+        spec = default_skeleton()
+        reach = subject_reach(spec)
+        rng = np.random.default_rng(0)
+        poses = np.array([sample_pose(spec, rng) for _ in range(500)])
+        spread = np.linalg.norm(poses - poses.mean(axis=1, keepdims=True), axis=2)
+        assert spread.max() < reach < 3000.0  # the default range passes
+
+    def test_depth_min_within_reach_rejected(self):
+        spec = default_skeleton()
+        reach = subject_reach(spec)
+        with pytest.raises(ValueError, match="behind the camera"):
+            check_depth_range((reach, 6000.0), spec)
+        check_depth_range((np.nextafter(reach, np.inf), 6000.0), spec)
 
 
 class TestMakeFrame:
