@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from .lifter import (
     train_lifter,
 )
 from .synth import (
+    DEPTH_RANGE,
     CorruptionSpec,
     _frames,
     check_depth_range,
@@ -105,6 +107,24 @@ def _config_flags(path, parser, command) -> list[str]:
     return flags
 
 
+def _int(text: str) -> int:
+    """Type of the integer options but --seed: sizes and counts meet float
+    arithmetic, so one that a float cannot hold is refused before anything
+    is written. (A seed of any size goes to numpy as it is.)"""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError("integer too large for a float")
+    return value
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """Type of --hidden-sizes: comma-separated integers."""
+    return tuple(_int(s) for s in text.split(",") if s)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="poselift")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,10 +140,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=False, help="output model file")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_int, default=200)
     p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--hidden-sizes", default="256,256")
+    p.add_argument("--batch-size", type=_int, default=64)
+    p.add_argument("--hidden-sizes", type=_sizes, default="256,256")
     p.add_argument(
         "--input-mode",
         choices=[INPUT_FULL, INPUT_NORMALIZED],
@@ -138,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=False)
     p.add_argument("--prior-strength", type=float, default=1.0)
     p.add_argument("--bandwidth", type=float, default=3.0)
-    p.add_argument("--num-candidates", type=int, default=128)
+    p.add_argument("--num-candidates", type=_int, default=128)
     p.add_argument(
         "--prior",
         choices=[PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC],
@@ -149,7 +169,7 @@ def build_parser() -> _Parser:
         choices=[GENERATOR_MEAN_SHIFT, GENERATOR_NMS],
         default=GENERATOR_MEAN_SHIFT,
     )
-    p.add_argument("--nms-upscale", type=int, default=8)
+    p.add_argument("--nms-upscale", type=_int, default=8)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     add_common(p)
@@ -158,17 +178,17 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-2d")
     p.add_argument("--gt-2d")
     p.add_argument("--manifest", help="map 2D poses into crop coordinates")
-    p.add_argument("--root-index", type=int, default=0)
+    p.add_argument("--root-index", type=_int, default=0)
     p.add_argument("--out", required=False, help="output report file")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_common(p)
     p.add_argument("--out-dir", required=False)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--image-size", type=int, default=1000)
-    p.add_argument("--grid-size", type=int, default=32)
-    p.add_argument("--depth-min", type=float, default=3000.0)
-    p.add_argument("--depth-max", type=float, default=6000.0)
+    p.add_argument("--frames", type=_int, default=100)
+    p.add_argument("--image-size", type=_int, default=1000)
+    p.add_argument("--grid-size", type=_int, default=32)
+    p.add_argument("--depth-min", type=float, default=DEPTH_RANGE[0])
+    p.add_argument("--depth-max", type=float, default=DEPTH_RANGE[1])
     p.add_argument("--distractor-prob", type=float, default=0.0)
     p.add_argument("--distractor-strength", type=float, default=1.1)
     p.add_argument("--noise-floor", type=float, default=0.0)
@@ -211,14 +231,13 @@ def _load_paired(path_a, dim_a, path_b, dim_b):
 def cmd_train_lifter(args) -> int:
     _require(args, "poses-2d", "poses-3d", "out")
     with _option_values():
-        hidden = tuple(int(s) for s in str(args.hidden_sizes).split(",") if s)
         config = LifterTrainConfig(
             learning_rate=args.learning_rate,
             momentum=args.momentum,
             epochs=args.epochs,
             noise_std=args.noise_std,
             batch_size=args.batch_size,
-            hidden_sizes=hidden,
+            hidden_sizes=args.hidden_sizes,
             input_mode=args.input_mode,
             seed=args.seed,
         )
@@ -419,13 +438,7 @@ def cmd_synth(args) -> int:
         "image_size": args.image_size,
         "grid_size": args.grid_size,
         "depth_range": [args.depth_min, args.depth_max],
-        "corruption": {
-            "distractor_prob": corruption.distractor_prob,
-            "offset_min": corruption.offset_min,
-            "offset_max": corruption.offset_max,
-            "strength": corruption.strength,
-            "noise_floor": corruption.noise_floor,
-        },
+        "corruption": dataclasses.asdict(corruption),
     }
     fileio.atomic_write_text(
         out_dir / "provenance.json", json.dumps(provenance, indent=2) + "\n"

@@ -83,13 +83,16 @@ def normalize_poses(poses):
     """normalize_pose over a (K, M, 2) stack, without raising.
 
     Returns (joints (K, M, 2), means (K, 2), scales (K,)). A pose whose
-    scale is at most DEGENERATE_TOL is degenerate; its joints are zero.
+    RMS spread is at most DEGENERATE_TOL, such as a pose of one joint, is
+    degenerate: its scale is exactly 0 and its joints are zero. Callers
+    test `scales > 0`.
     """
     poses = np.asarray(poses, dtype=np.float64)
     means = poses.mean(axis=1)
     centered = poses - means[:, None, :]
     scales = np.sqrt(np.mean(np.sum(centered**2, axis=2), axis=1))
     ok = scales > DEGENERATE_TOL
+    scales[~ok] = 0.0
     joints = centered / np.where(ok, scales, 1.0)[:, None, None]
     joints[~ok] = 0.0
     return joints, means, scales
@@ -98,13 +101,10 @@ def normalize_poses(poses):
 def normalize_pose(pose) -> NormalizedPose2D:
     """Shift to zero mean and divide by the RMS joint distance from the mean.
 
-    Raises DegeneratePoseError when all joints coincide.
+    Raises DegeneratePoseError when all joints coincide, one joint included.
     """
-    pose = as_poses(pose, 2)
-    if len(pose) < 2:
-        raise ValueError("need at least 2 joints to normalize")
-    joints, means, scales = normalize_poses(pose[None])
-    if not scales[0] > DEGENERATE_TOL:
+    joints, means, scales = normalize_poses(as_poses(pose, 2)[None])
+    if not scales[0] > 0:
         raise DegeneratePoseError("all joints coincide; scale is zero")
     return NormalizedPose2D(joints=joints[0], mean=means[0], scale=float(scales[0]))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DEGENERATE_TOL,
     CameraModel,
     as_poses,
     grid_to_image,
@@ -110,7 +109,7 @@ def consistency_priors(
     y_norm, _, y_scale = normalize_poses(reproj)
     diff = (x_norm - y_norm).reshape(len(poses_2d), 2 * poses_2d.shape[1])
     values = strength * np.sum(diff**2, axis=1)
-    values[unseen | (x_scale <= DEGENERATE_TOL) | (y_scale <= DEGENERATE_TOL)] = np.inf
+    values[unseen | ~(x_scale > 0) | ~(y_scale > 0)] = np.inf
     return values
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_write_bytes
-from .geometry import (
-    DEGENERATE_TOL,
-    DegeneratePoseError,
-    as_poses,
-    normalize_poses,
-)
+from .geometry import DegeneratePoseError, as_poses, normalize_poses
 
 MODEL_MAGIC = b"PLFT"
 MODEL_VERSION = 1
@@ -78,28 +73,22 @@ class LifterModel:
         )
 
     def build_input(self, pose) -> np.ndarray:
-        pose = as_poses(pose, 2)
-        if len(pose) != self.num_joints:
-            raise ValueError(
-                f"pose has {len(pose)} joints, model expects {self.num_joints}"
-            )
-        inputs, ok = self.build_inputs(pose[None])
+        inputs, ok = self.build_inputs(as_poses(pose, 2)[None])
         if not ok[0]:
             raise DegeneratePoseError("all joints coincide; scale is zero")
         return inputs[0]
 
     def build_inputs(self, poses) -> tuple[np.ndarray, np.ndarray]:
-        """Network inputs (K, input_dim) for a (K, M, 2) stack of poses, and
-        a (K,) mask of poses that could be normalized; the rows of
-        degenerate poses are zero."""
+        """Network inputs (K, input_dim) for a (K, num_joints, 2) stack of
+        poses, and a (K,) mask of poses that could be normalized; the rows
+        of degenerate poses are zero."""
         poses = np.asarray(poses, dtype=np.float64)
-        if poses.shape[1] < 2:
-            raise ValueError("need at least 2 joints to normalize")
-        joints, means, scales = normalize_poses(poses)
-        ok = scales > DEGENERATE_TOL
-        flat = _input_rows(joints, means, scales, self.input_mode)
-        flat[~ok] = 0.0
-        return flat, ok
+        if poses.ndim != 3 or poses.shape[1:] != (self.num_joints, 2):
+            raise ValueError(
+                f"poses have shape {poses.shape}, "
+                f"model expects (K, {self.num_joints}, 2)"
+            )
+        return _input_rows(poses, self.input_mode)
 
     def lift(self, pose) -> np.ndarray:
         """Zero-mean 3D pose (M, 3) in millimeters for one 2D pose."""
@@ -152,15 +141,19 @@ def init_parameters(layer_sizes, rng):
     return weights, biases
 
 
-def _input_rows(joints, means, scales, input_mode) -> np.ndarray:
-    """Network input rows (K, input_dim) of normalized poses: the (K, M, 2)
-    joints flattened, then in the full layout the mean and scale divided by
-    POSITION_INPUT_SCALE."""
-    flat = joints.reshape(len(joints), -1)
-    if input_mode != INPUT_FULL:
-        return flat
-    extra = np.column_stack([means, scales]) / POSITION_INPUT_SCALE
-    return np.concatenate([flat, extra], axis=1)
+def _input_rows(poses, input_mode) -> tuple[np.ndarray, np.ndarray]:
+    """Network input rows (K, input_dim) of a (K, M, 2) stack of poses, and
+    the (K,) mask of poses that could be normalized. A row holds the
+    normalized joints flattened, then in the full layout the mean and scale
+    divided by POSITION_INPUT_SCALE; the rows of degenerate poses are zero."""
+    joints, means, scales = normalize_poses(poses)
+    ok = scales > 0
+    rows = joints.reshape(len(joints), -1)
+    if input_mode == INPUT_FULL:
+        extra = np.column_stack([means, scales]) / POSITION_INPUT_SCALE
+        rows = np.concatenate([rows, extra], axis=1)
+    rows[~ok] = 0.0
+    return rows, ok
 
 
 def _forward_cached(weights, biases, inputs):
@@ -206,25 +199,22 @@ def _prepare_training_data(poses_2d, poses_3d, input_mode):
     TARGET_SCALE, and the removed 3D centroids (n, 3), in one batched pass.
 
     Raises ValueError for wrongly shaped or non-finite poses and
-    DegeneratePoseError for poses of one joint or a 2D pose whose joints
-    coincide.
+    DegeneratePoseError for a 2D pose whose joints coincide, as a pose of
+    one joint does.
     """
     p2 = as_poses(poses_2d, 2, ndim=3)
     p3 = as_poses(poses_3d, 3, ndim=3)
-    if p2.shape[1] < 2:  # one joint: zero scale
-        raise DegeneratePoseError("need at least 2 joints to normalize")
     if p3.shape[1] != p2.shape[1]:
         raise ValueError(
             f"2D poses have {p2.shape[1]} joints, 3D poses {p3.shape[1]}"
         )
-    joints, means, scales = normalize_poses(p2)
-    ok = scales > DEGENERATE_TOL
+    inputs, ok = _input_rows(p2, input_mode)
     if not ok.all():
         k = int(np.argmin(ok))
         raise DegeneratePoseError(f"pose {k}: all joints coincide; scale is zero")
     centroids = p3.mean(axis=1)
     targets = ((p3 - centroids[:, None, :]) / TARGET_SCALE).reshape(len(p3), -1)
-    return _input_rows(joints, means, scales, input_mode), targets, centroids
+    return inputs, targets, centroids
 
 
 def train_lifter(

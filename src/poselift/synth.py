@@ -28,6 +28,9 @@ from .lifter import LifterTrainConfig, train_lifter
 # the crop box extends this share of the pose's larger extent on each side
 BOX_MARGIN = 0.15
 
+# default (min, max) depth of a placed subject's centroid, mm from the camera
+DEPTH_RANGE = (3000.0, 6000.0)
+
 
 @dataclass(frozen=True)
 class SkeletonSpec:
@@ -255,7 +258,7 @@ def check_depth_range(depth_range, spec: SkeletonSpec | None = None) -> None:
         )
 
 
-def place_subject(pose_centered, camera: CameraModel, rng, depth_range=(3000.0, 6000.0)):
+def place_subject(pose_centered, camera: CameraModel, rng, depth_range=DEPTH_RANGE):
     """Translate a root-centered pose to a random position in the frustum."""
     check_depth_range(depth_range)
     low, high = depth_range
@@ -293,7 +296,7 @@ def generate_frames(
     count: int,
     corruption: CorruptionSpec,
     seed: int,
-    depth_range=(3000.0, 6000.0),
+    depth_range=DEPTH_RANGE,
     grid_size: int = 32,
 ) -> list[SyntheticFrame]:
     return list(_frames(spec, camera, count, corruption, seed, depth_range, grid_size))
@@ -338,7 +341,7 @@ def run_benchmark(
     corruption: CorruptionSpec = CorruptionSpec(),
     train_config: LifterTrainConfig = LifterTrainConfig(),
     baseline: str | None = None,
-    depth_range=(3000.0, 6000.0),
+    depth_range=DEPTH_RANGE,
 ) -> tuple[dict, dict]:
     """Train a lifter, infer with each config on a shared test split, and
     report the three metrics plus a bootstrap interval for the paired MPJPE

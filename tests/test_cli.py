@@ -30,8 +30,20 @@ from poselift.heatmaps import HeatMapVolume
 from poselift.lifter import load_model, save_model
 
 
+# an integer option value that no float can hold
+OVERFLOW = "9" * 400
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def assert_usage_error_names(err, flags):
+    """Checks the usage error printed for `flags`: an overflowing integer
+    must name its option."""
+    assert err.startswith("error: ")
+    if OVERFLOW in flags:
+        assert f"argument {flags[flags.index(OVERFLOW) - 1]}: integer too large" in err
 
 
 def synth_dataset(path, frames=6, seed=0, extra=()):
@@ -104,13 +116,16 @@ class TestSynth:
         [("--noise-floor", "nan"), ("--distractor-strength", "inf"),
          ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50"),
          ("--depth-min", "1", "--depth-max", "1"),
-         ("--depth-min", "100", "--depth-max", "1000")],
+         ("--depth-min", "100", "--depth-max", "1000"),
+         ("--image-size", OVERFLOW), ("--grid-size", OVERFLOW)],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
-             "behind-camera", "partly-behind-camera"],
+             "behind-camera", "partly-behind-camera", "overflowing-image-size",
+             "overflowing-grid-size"],
     )
-    def test_bad_option_values_are_usage_errors(self, tmp_path, flags):
+    def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
         assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
+        assert_usage_error_names(capsys.readouterr().err, flags)
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--grid-size", "0")])
@@ -150,10 +165,10 @@ class TestTrainLifter:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--learning-rate", "nan"), ("--noise-std", "inf")],
-        ids=["nan-lr", "inf-noise"],
+        [("--learning-rate", "nan"), ("--noise-std", "inf"), ("--hidden-sizes", OVERFLOW)],
+        ids=["nan-lr", "inf-noise", "overflowing-hidden-sizes"],
     )
-    def test_non_finite_values_are_usage_errors(self, tmp_path, flags):
+    def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, flags):
         data = synth_dataset(tmp_path / "data", frames=3)
         out = tmp_path / "model.bin"
         code = run(
@@ -165,6 +180,7 @@ class TestTrainLifter:
             *flags,
         )
         assert code == EXIT_USAGE
+        assert_usage_error_names(capsys.readouterr().err, flags)
         assert not out.exists()
 
     def test_byte_identical_model_files(self, tmp_path):
@@ -257,7 +273,7 @@ class TestTrainLifter:
             "--hidden-sizes", "16,x",
         )
         assert code == EXIT_USAGE
-        assert "invalid literal" in capsys.readouterr().err
+        assert "argument --hidden-sizes: invalid int value: 'x'" in capsys.readouterr().err
         assert not (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize("joints", [1, 17], ids=["one-joint", "coinciding"])
@@ -544,13 +560,17 @@ class TestInfer:
     @pytest.mark.parametrize(
         "flags",
         [("--prior-strength", "nan"), ("--prior-strength", "inf"), ("--bandwidth", "nan"),
-         ("--generator", "nms", "--nms-upscale", "0")],
-        ids=["nan-strength", "inf-strength", "nan-bandwidth", "zero-upscale"],
+         ("--generator", "nms", "--nms-upscale", "0"),
+         ("--generator", "nms", "--nms-upscale", OVERFLOW)],
+        ids=["nan-strength", "inf-strength", "nan-bandwidth", "zero-upscale",
+             "overflowing-upscale"],
     )
-    def test_bad_option_values_are_usage_errors(self, pipeline, flags):
+    def test_bad_option_values_are_usage_errors(self, pipeline, capsys, flags):
         tmp_path, data, model = pipeline
         out = tmp_path / "out"
+        capsys.readouterr()  # the fixture's own output
         assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
+        assert_usage_error_names(capsys.readouterr().err, flags)
         assert not out.exists()
 
 
@@ -909,15 +929,21 @@ class TestDataFilesUnderMutation:
 
 
 def test_import_leaves_scipy_ndimage_out():
-    # scipy.ndimage serves only --generator nms, which imports it on first use
-    code = "import sys, poselift, poselift.cli; print('scipy.ndimage' in sys.modules)"
+    # `import poselift` loads none of its modules, and scipy.ndimage, which
+    # serves only --generator nms, is imported on its first use
+    code = (
+        "import sys, poselift\n"
+        "print(sorted(m for m in sys.modules if m.startswith('poselift.')))\n"
+        "import poselift.cli\n"
+        "print('scipy.ndimage' in sys.modules)"
+    )
     src = str(Path(cli.__file__).parents[1])  # a fresh interpreter, this checkout
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["[]", "False"]
 
 
 class TestUsage:

@@ -106,8 +106,11 @@ class TestForward:
 
     def test_joint_count_mismatch(self):
         model = make_model(np.random.default_rng(4), num_joints=3)
+        pose = np.zeros((5, 2)) + np.arange(5)[:, None]
         with pytest.raises(ValueError):
-            model.lift(np.zeros((5, 2)) + np.arange(5)[:, None])
+            model.lift(pose)
+        with pytest.raises(ValueError, match=r"\(4, 5, 2\), model expects \(K, 3, 2\)"):
+            model.build_inputs(np.stack([pose] * 4))
 
     def test_finite_output(self):
         rng = np.random.default_rng(5)
