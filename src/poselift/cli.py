@@ -37,7 +37,6 @@ from .lifter import (
     INPUT_FULL,
     INPUT_NORMALIZED,
     LifterTrainConfig,
-    ModelFormatError,
     TrainingDivergedError,
     load_model,
     save_model,
@@ -290,7 +289,6 @@ def cmd_infer(args) -> int:
     entries = fileio.load_manifest(args.manifest)
     manifest_dir = Path(args.manifest).parent
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     frames, poses_2d, poses_3d, poses_3d_abs, selections = [], [], [], [], []
     failures = 0
@@ -330,6 +328,8 @@ def cmd_infer(args) -> int:
                 "scores": [c.score for c in result.candidates],
             }
         )
+    # created only now, so a run that stops on an error leaves none behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_poses(out_dir / "poses_2d.jsonl", poses_2d, frames)
     fileio.save_poses(out_dir / "poses_3d.jsonl", poses_3d, frames)
     fileio.save_poses(out_dir / "poses_3d_absolute.jsonl", poses_3d_abs, frames)
@@ -399,8 +399,8 @@ def cmd_synth(args) -> int:
     _require(args, "out-dir")
     if args.frames < 1:
         raise UsageError("--frames must be >= 1")
-    if args.grid_size < 1:
-        raise UsageError("--grid-size must be >= 1")
+    if not 1 <= args.grid_size < 2**32:  # a volume header holds it as uint32
+        raise UsageError("--grid-size must be in [1, 2**32 - 1]")
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ModelFormatError, OSError) as e:
+    except (DataFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as e:

@@ -58,8 +58,6 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class CandidateResult:
-    indices: tuple[int, ...]
-    pose_2d: np.ndarray  # original-image pixels
     score: float
     prior: float  # +inf when the prior could not be evaluated
     energy: float
@@ -174,14 +172,8 @@ def infer(
     best = int(np.argmin(energies))  # ties resolve to the lowest k
     best_3d = lifted[best]
     candidates = tuple(
-        CandidateResult(
-            indices=a.indices,
-            pose_2d=p,
-            score=float(a.score),
-            prior=float(v),
-            energy=float(e),
-        )
-        for a, p, v, e in zip(assignments, poses_img, priors, energies)
+        CandidateResult(score=float(s), prior=float(v), energy=float(e))
+        for s, v, e in zip(scores, priors, energies)
     )
     return InferenceResult(
         pose_2d=poses_img[best],

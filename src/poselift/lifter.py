@@ -9,12 +9,14 @@ momentum and Gaussian noise augmentation on the normalized joints.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .fileio import atomic_write_bytes
+from .fileio import DataFormatError, atomic_write_bytes
 from .geometry import DegeneratePoseError, as_poses, normalize_poses
 
 MODEL_MAGIC = b"PLFT"
@@ -32,10 +34,6 @@ TARGET_SCALE = 256.0
 # input layouts: normalized joints only, or joints plus mean and scale
 INPUT_FULL = "full"
 INPUT_NORMALIZED = "normalized"
-
-
-class ModelFormatError(ValueError):
-    """Model file is corrupt, truncated, or from an unknown format version."""
 
 
 @dataclass(frozen=True)
@@ -286,77 +284,80 @@ def train_lifter(
 
 
 def save_model(model: LifterModel, path) -> None:
-    """Binary container: header, layer sizes, offset, float64 parameters,
-    and a trailing SHA-256 checksum of everything before it."""
+    """Binary container: header, layer sizes, one float64 block of the
+    mean offset and each layer's row-major weights and bias, and a trailing
+    SHA-256 checksum of everything before it."""
     sizes = model.layer_sizes
     mode_flag = 1 if model.input_mode == INPUT_FULL else 0
+    params = [model.mean_offset]
+    for w, b in zip(model.weights, model.biases):
+        params += [w, b]
+    block = np.concatenate([np.ravel(p) for p in params], dtype="<f8")
     parts = [
         MODEL_MAGIC,
         struct.pack("<IIBI", MODEL_VERSION, model.num_joints, mode_flag, len(sizes)),
         struct.pack(f"<{len(sizes)}I", *sizes),
-        np.asarray(model.mean_offset, dtype="<f8").tobytes(),
+        block.tobytes(),
     ]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     payload = b"".join(parts)
     atomic_write_bytes(path, payload + hashlib.sha256(payload).digest())
 
 
 def load_model(path) -> LifterModel:
+    """The model in a container that save_model wrote; a malformed file
+    raises DataFormatError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + len(MODEL_MAGIC):
-        raise ModelFormatError(f"{path}: model file truncated")
+        raise DataFormatError(f"{path}: model file truncated")
     payload, checksum = blob[:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != checksum:
-        raise ModelFormatError(f"{path}: model file checksum mismatch")
+        raise DataFormatError(f"{path}: model file checksum mismatch")
     if payload[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic; not a lifter model file")
+        raise DataFormatError(f"{path}: bad magic; not a lifter model file")
     offset = 4
     try:
         version, num_joints, mode_flag, n_sizes = struct.unpack_from(
             "<IIBI", payload, offset
         )
     except struct.error:
-        raise ModelFormatError(f"{path}: model file truncated inside header")
+        raise DataFormatError(f"{path}: model file truncated inside header")
     offset += struct.calcsize("<IIBI")
     if version != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported model format version {version}")
+        raise DataFormatError(f"{path}: unsupported model format version {version}")
     if n_sizes < 2:
-        raise ModelFormatError(
+        raise DataFormatError(
             f"{path}: model file declares {n_sizes} layer sizes, need 2 or more"
         )
     if offset + 4 * n_sizes + 24 > len(payload):
-        raise ModelFormatError(f"{path}: model file truncated inside layer sizes")
+        raise DataFormatError(f"{path}: model file truncated inside layer sizes")
     sizes = struct.unpack_from(f"<{n_sizes}I", payload, offset)
     offset += 4 * n_sizes
-    mean_offset = np.frombuffer(payload, dtype="<f8", count=3, offset=offset).copy()
-    offset += 24
-    weights, biases = [], []
+    # the float64 block: mean offset, then per layer its weights and bias
+    shapes = [(3,)]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        need = (fan_in * fan_out + fan_out) * 8
-        if offset + need > len(payload):
-            raise ModelFormatError(f"{path}: model file truncated inside parameters")
-        w = np.frombuffer(
-            payload, dtype="<f8", count=fan_in * fan_out, offset=offset
-        ).reshape(fan_in, fan_out).copy()
-        offset += fan_in * fan_out * 8
-        b = np.frombuffer(payload, dtype="<f8", count=fan_out, offset=offset).copy()
-        offset += fan_out * 8
-        weights.append(w)
-        biases.append(b)
-    if offset != len(payload):
-        raise ModelFormatError(f"{path}: trailing bytes in model file")
-    if not all(np.isfinite(a).all() for a in (mean_offset, *weights, *biases)):
-        raise ModelFormatError(f"{path}: non-finite model parameters")
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    extra = len(payload) - offset - 8 * ends[-1]
+    if extra:
+        raise DataFormatError(
+            f"{path}: model file truncated inside parameters"
+            if extra < 0
+            else f"{path}: trailing bytes in model file"
+        )
+    block = np.frombuffer(payload, dtype="<f8", count=ends[-1], offset=offset).copy()
+    if not np.isfinite(block).all():
+        raise DataFormatError(f"{path}: non-finite model parameters")
+    mean_offset, *params = (
+        part.reshape(shape) for part, shape in zip(np.split(block, ends[:-1]), shapes)
+    )
     try:
         return LifterModel(
             num_joints=num_joints,
-            weights=tuple(weights),
-            biases=tuple(biases),
+            weights=tuple(params[0::2]),
+            biases=tuple(params[1::2]),
             mean_offset=mean_offset,
             input_mode=INPUT_FULL if mode_flag else INPUT_NORMALIZED,
         )
     except ValueError as e:
-        raise ModelFormatError(f"{path}: bad model file: {e}")
+        raise DataFormatError(f"{path}: bad model file: {e}")

@@ -39,14 +39,6 @@ class PoseAssignment:
     score: float
 
 
-def _score(values, indices) -> float:
-    # plain left-to-right sum; the test oracles sum in the same order
-    total = 0.0
-    for i, idx in enumerate(indices):
-        total += float(values[i][idx])
-    return total
-
-
 def n_best_poses(values, n: int) -> list[PoseAssignment]:
     """The n highest-scoring poses over the full candidate product, best first.
 
@@ -62,7 +54,8 @@ def n_best_poses(values, n: int) -> list[PoseAssignment]:
     m = len(values)
     tops_after = [tuple(v[0] for v in values[q + 1 :]) for q in range(m)]
     first = (0,) * m
-    heap = [(-_score(values, first), first, 0)]
+    # scores are plain left-to-right sums, the order the test oracles use
+    heap = [(-reduce(add, (v[0] for v in values), 0.0), first, 0)]
     results = []
     while heap and len(results) < n:
         neg_score, indices, pivot = heapq.heappop(heap)

@@ -40,10 +40,12 @@ def run(*argv):
 
 def assert_usage_error_names(err, flags):
     """Checks the usage error printed for `flags`: an overflowing integer
-    must name its option."""
+    must name its option, and so must every bad --grid-size."""
     assert err.startswith("error: ")
     if OVERFLOW in flags:
         assert f"argument {flags[flags.index(OVERFLOW) - 1]}: integer too large" in err
+    if "--grid-size" in flags:
+        assert "--grid-size" in err
 
 
 def synth_dataset(path, frames=6, seed=0, extra=()):
@@ -117,10 +119,11 @@ class TestSynth:
          ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50"),
          ("--depth-min", "1", "--depth-max", "1"),
          ("--depth-min", "100", "--depth-max", "1000"),
-         ("--image-size", OVERFLOW), ("--grid-size", OVERFLOW)],
+         ("--image-size", OVERFLOW), ("--grid-size", OVERFLOW),
+         ("--grid-size", str(2**32)), ("--grid-size", str(10**300))],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
              "behind-camera", "partly-behind-camera", "overflowing-image-size",
-             "overflowing-grid-size"],
+             "overflowing-grid-size", "grid-size-over-uint32", "huge-grid-size"],
     )
     def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
@@ -509,7 +512,7 @@ class TestInfer:
         # bug reaches the caller as a traceback
         with pytest.raises(ValueError, match="boom"):
             run(*self.infer_args(data, model, out))
-        assert not (out / "selection.jsonl").exists()
+        assert not out.exists()
 
     def test_malformed_model_is_data_error(self, pipeline, capsys):
         tmp_path, data, _ = pipeline

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lifter_reference
+from poselift.fileio import DataFormatError
 from poselift.geometry import DegeneratePoseError
 from poselift.lifter import (
     INPUT_FULL,
@@ -19,7 +20,6 @@ from poselift.lifter import (
     POSITION_INPUT_SCALE,
     LifterModel,
     LifterTrainConfig,
-    ModelFormatError,
     TrainingDivergedError,
     init_parameters,
     load_model,
@@ -405,7 +405,49 @@ class TestReferenceTrainer:
             train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=1))
 
 
+def fixed_model(input_mode, hidden):
+    """A 2-joint model of dyadic values, so every platform saves the same
+    bytes."""
+    sizes = (2 * 2 + 3 * (input_mode == INPUT_FULL),) + hidden + (6,)
+    weights, biases = [], []
+    for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = np.arange(fan_in * fan_out).reshape(fan_in, fan_out)
+        weights.append((w - 7.0) / 8 + layer)
+        biases.append(np.arange(fan_out) / -16.0)
+    return LifterModel(
+        2, tuple(weights), tuple(biases), np.array([12.5, -0.75, 3000.0]), input_mode
+    )
+
+
 class TestSerialization:
+    # SHA-256 of each container: new digests mean a new model format
+    @pytest.mark.parametrize(
+        "input_mode, hidden, digest",
+        [
+            (INPUT_FULL, (5,),
+             "661ee16d2997bb955f8a3f47b2996446a65743d426cb846d31149544b0debd44"),
+            (INPUT_FULL, (5, 4),
+             "f46031858f573018ec8c9180693a383a1d39e35ffb9f7982663c81e40d824c3e"),
+            (INPUT_NORMALIZED, (5,),
+             "aa4223b883dfcc57effcfda6d84d9cda4161a8dc3d193075f7950639979695bf"),
+            (INPUT_NORMALIZED, (5, 4),
+             "09481effe9a78e846eea08a6b6ba67bf487b6631cb52339f62d7586034c981a2"),
+        ],
+        ids=["full-2-layers", "full-3-layers", "normalized-2-layers",
+             "normalized-3-layers"],
+    )
+    def test_container_bytes_are_pinned(self, tmp_path, input_mode, hidden, digest):
+        model = fixed_model(input_mode, hidden)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded = load_model(path)
+        for a, b in zip(
+            (loaded.mean_offset, *loaded.weights, *loaded.biases),
+            (model.mean_offset, *model.weights, *model.biases),
+        ):
+            np.testing.assert_array_equal(a, b)
+
     def trained(self, tmp_path, **kw):
         rng = np.random.default_rng(18)
         poses_2d, poses_3d = small_dataset(rng)
@@ -433,7 +475,7 @@ class TestSerialization:
         _, path = self.trained(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(path)
 
     def test_corrupted_byte(self, tmp_path):
@@ -441,7 +483,7 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):
@@ -450,7 +492,7 @@ class TestSerialization:
 
         payload = b"XXXX" + b"\x00" * 64
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -460,7 +502,7 @@ class TestSerialization:
 
         payload = blob[:-32] + b"\x00" * 8  # extra bytes, checksum fixed up
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(path)
 
     # header fields after the magic: version, num_joints, input mode, n_sizes
@@ -479,7 +521,7 @@ class TestSerialization:
     def test_malformed_container_with_valid_checksum(self, tmp_path, payload):
         path = tmp_path / "model.bin"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(path)
 
     @pytest.mark.parametrize("where", ["mean-offset", "last-bias"])
@@ -492,7 +534,7 @@ class TestSerialization:
             at = len(payload) - 8
         payload = payload[:at] + np.array([np.nan], "<f8").tobytes() + payload[at + 8 :]
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(ModelFormatError, match=f"{path}: non-finite"):
+        with pytest.raises(DataFormatError, match=f"{path}: non-finite"):
             load_model(path)
 
     def test_wrong_joint_count_at_lift(self, tmp_path):
