@@ -168,7 +168,6 @@ def build_parser() -> _Parser:
         choices=[GENERATOR_MEAN_SHIFT, GENERATOR_NMS],
         default=GENERATOR_MEAN_SHIFT,
     )
-    p.add_argument("--nms-upscale", type=_int, default=8)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     add_common(p)
@@ -280,7 +279,6 @@ def cmd_infer(args) -> int:
             num_candidates=args.num_candidates,
             prior_mode=args.prior,
             generator=args.generator,
-            nms_upscale=args.nms_upscale,
         )
     if config.prior_mode == PRIOR_PERSPECTIVE and not args.camera:
         raise UsageError("perspective prior requires --camera")

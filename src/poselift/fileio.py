@@ -67,7 +67,7 @@ def save_poses(path, poses, frames=None) -> None:
     atomic_write_text(path, "".join(lines))
 
 
-def load_poses(path, dim: int | None = None):
+def load_poses(path, dim: int):
     """Returns (frames, poses) sorted by frame index.
 
     A record that is not a JSON object with an integer frame and a
@@ -87,9 +87,9 @@ def load_poses(path, dim: int | None = None):
             joints = np.asarray(rec["joints"], dtype=np.float64)
         except (ValueError, OverflowError, KeyError, TypeError) as e:
             raise DataFormatError(f"{path}:{lineno}: bad pose record: {e}")
-        if joints.ndim != 2 or (dim is not None and joints.shape[1] != dim):
+        if joints.ndim != 2 or joints.shape[1] != dim:
             raise DataFormatError(
-                f"{path}:{lineno}: expected (M, {dim or '2|3'}) joints, "
+                f"{path}:{lineno}: expected (M, {dim}) joints, "
                 f"got {joints.shape}"
             )
         if frame in seen:

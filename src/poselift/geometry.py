@@ -12,6 +12,9 @@ import numpy as np
 
 DEGENERATE_TOL = 1e-12
 
+# side, in pixels, of the square crop that 2D errors are measured on
+CROP_SIZE = 256
+
 
 class DegeneratePoseError(ValueError):
     """All joints coincide (or nearly so); the pose cannot be normalized."""
@@ -202,8 +205,8 @@ def image_to_grid(points, box: BoundingBox, grid_size: int):
     return (points - origin) / cell - 0.5
 
 
-def image_to_crop(points, box: BoundingBox, crop_size: int = 256):
-    """Map original-image pixels into the resized square crop frame."""
+def image_to_crop(points, box: BoundingBox):
+    """Map original-image pixels into the box's crop, resized to CROP_SIZE."""
     points = np.asarray(points, dtype=np.float64)
     origin = np.array([box.origin_x, box.origin_y])
-    return (points - origin) * (crop_size / box.side)
+    return (points - origin) * (CROP_SIZE / box.side)

@@ -507,8 +507,10 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     The joints are independent; batching them only amortizes the
     per-iteration overhead.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    # NaN fails this too; a bandwidth whose square underflows to 0 has an
+    # empty window
+    if not (bandwidth > 0 and bandwidth * bandwidth > 0):
+        raise ValueError("bandwidth must be positive and have a square above 0")
     if max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
     grids = np.asarray(grids, dtype=np.float64)
@@ -538,7 +540,7 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
 
 
 def find_modes_nms(
-    grid, max_candidates: int, upscale: int = 8, radius: float = 3.0
+    grid, max_candidates: int, radius: float, upscale: int = 8
 ) -> JointCandidates:
     """Candidate extraction baseline: bilinear upsampling plus greedy NMS.
 
@@ -577,11 +579,10 @@ def find_modes_nms(
     return JointCandidates(positions=positions, values=vals[order][keep])
 
 
-def render_gaussian(joint, grid_size: int, sigma: float = 1.0) -> np.ndarray:
-    """Unnormalized Gaussian bump centered on a (x, y) grid-coordinate joint."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+def render_gaussian(joint, grid_size: int) -> np.ndarray:
+    """Unnormalized unit-sigma Gaussian bump centered on a (x, y)
+    grid-coordinate joint."""
     joint = np.asarray(joint, dtype=np.float64)
     ys, xs = np.mgrid[0:grid_size, 0:grid_size]
     d2 = (xs - joint[0]) ** 2 + (ys - joint[1]) ** 2
-    return np.exp(-d2 / (2.0 * sigma**2))
+    return np.exp(-d2 / 2.0)

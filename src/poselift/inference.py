@@ -38,22 +38,20 @@ class InferenceConfig:
     num_candidates: int = 128
     prior_mode: str = PRIOR_PERSPECTIVE
     generator: str = GENERATOR_MEAN_SHIFT
-    nms_upscale: int = 8
 
     def __post_init__(self):
         # written so that NaN fails them too
         if not 0 <= self.prior_strength < np.inf:
             raise ValueError("prior strength must be finite and >= 0")
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be finite and positive")
+        # a bandwidth whose square underflows to 0 has an empty window
+        if not (0 < self.bandwidth < np.inf and self.bandwidth * self.bandwidth > 0):
+            raise ValueError("bandwidth must be finite, positive, with a square above 0")
         if self.num_candidates < 1:
             raise ValueError("need at least one candidate")
         if self.prior_mode not in (PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC):
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         if self.generator not in (GENERATOR_MEAN_SHIFT, GENERATOR_NMS):
             raise ValueError(f"unknown candidate generator {self.generator!r}")
-        if self.nms_upscale < 1:
-            raise ValueError("nms_upscale must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,12 +116,7 @@ def extract_candidates(volume: HeatMapVolume, config: InferenceConfig):
             volume.maps, config.bandwidth, config.num_candidates
         )
     return [
-        find_modes_nms(
-            grid,
-            config.num_candidates,
-            upscale=config.nms_upscale,
-            radius=config.bandwidth,
-        )
+        find_modes_nms(grid, config.num_candidates, radius=config.bandwidth)
         for grid in volume.maps
     ]
 

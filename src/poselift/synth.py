@@ -31,6 +31,10 @@ BOX_MARGIN = 0.15
 # default (min, max) depth of a placed subject's centroid, mm from the camera
 DEPTH_RANGE = (3000.0, 6000.0)
 
+# bootstrap_mean_ci: resamples drawn, and the interval's total tail mass
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class SkeletonSpec:
@@ -85,6 +89,10 @@ class CorruptionSpec:
             raise ValueError("distractor offsets must be finite with 0 <= min <= max")
         if not (0 <= self.strength < np.inf and 0 <= self.noise_floor < np.inf):
             raise ValueError("strength and noise floor must be finite and >= 0")
+        # no rendered value exceeds this sum, rounded as make_frame rounds;
+        # a volume file stores float32
+        if not 1 + self.strength + self.noise_floor <= float(np.finfo(np.float32).max):
+            raise ValueError("1 + strength + noise floor exceeds the float32 maximum")
 
 
 def default_skeleton() -> SkeletonSpec:
@@ -159,8 +167,6 @@ def _euler_rotation(angles):
 
 def sample_pose(spec: SkeletonSpec, rng) -> np.ndarray:
     """Forward kinematics with uniformly sampled joint angles; root at origin."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     m = spec.num_joints
     angles = rng.uniform(
         spec.angle_centers - spec.angle_ranges,
@@ -189,8 +195,6 @@ def make_frame(
 ):
     """Project a camera-space pose and render its (optionally corrupted)
     heat-map volume. Returns (volume, pose_2d_image, pose_3d)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     pose_3d = np.asarray(pose_3d, dtype=np.float64)
     pose_2d = project_perspective(pose_3d, camera)
 
@@ -207,15 +211,13 @@ def make_frame(
     grid_joints = image_to_grid(pose_2d, box, grid_size)
     maps = np.empty((len(pose_3d), grid_size, grid_size))
     for i, joint in enumerate(grid_joints):
-        grid = render_gaussian(joint, grid_size, sigma=1.0)
+        grid = render_gaussian(joint, grid_size)
         if rng.random() < corruption.distractor_prob:
             angle = rng.uniform(0, 2 * np.pi)
             radius = rng.uniform(corruption.offset_min, corruption.offset_max)
             distractor = joint + radius * np.array([np.cos(angle), np.sin(angle)])
             distractor = np.clip(distractor, 0, grid_size - 1)
-            grid = grid + corruption.strength * render_gaussian(
-                distractor, grid_size, sigma=1.0
-            )
+            grid = grid + corruption.strength * render_gaussian(distractor, grid_size)
         if corruption.noise_floor > 0:
             grid = grid + rng.uniform(
                 0, corruption.noise_floor, size=grid.shape
@@ -320,14 +322,14 @@ def evaluate_frames(frames, model, config: InferenceConfig, camera: CameraModel)
     return {k: np.array(v) for k, v in per_frame.items()}
 
 
-def bootstrap_mean_ci(samples, rng, n_resamples: int = 1000, alpha: float = 0.05):
+def bootstrap_mean_ci(samples, rng):
     """Percentile bootstrap confidence interval for the mean."""
     samples = np.asarray(samples, dtype=np.float64)
-    means = np.empty(n_resamples)
+    means = np.empty(BOOTSTRAP_RESAMPLES)
     n = len(samples)
-    for i in range(n_resamples):
+    for i in range(BOOTSTRAP_RESAMPLES):
         means[i] = samples[rng.integers(0, n, size=n)].mean()
-    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
+    lo, hi = np.quantile(means, [BOOTSTRAP_ALPHA / 2, 1 - BOOTSTRAP_ALPHA / 2])
     return float(lo), float(hi)
 
 

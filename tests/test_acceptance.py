@@ -82,7 +82,7 @@ def test_criterion_2_mean_shift_fidelity():
     hits = 0
     for _ in range(1000):
         center = rng.uniform(4, 28, size=2)
-        grid = render_gaussian(center, 32, sigma=1.0)
+        grid = render_gaussian(center, 32)
         modes = find_modes_volume(grid[None], bandwidth, 8)[0]
         if np.linalg.norm(modes.positions[0] - center) < 0.5:
             hits += 1
@@ -95,9 +95,7 @@ def test_criterion_2_mean_shift_fidelity():
             c2 = rng.uniform(5, 27, size=2)
             if np.linalg.norm(c1 - c2) >= 10.0:
                 break
-        grid = render_gaussian(c1, 32, sigma=1.0) + 0.8 * render_gaussian(
-            c2, 32, sigma=1.0
-        )
+        grid = render_gaussian(c1, 32) + 0.8 * render_gaussian(c2, 32)
         modes = find_modes_volume(grid[None], bandwidth, 8)[0]
         if len(modes) == 2:
             exact += 1

@@ -120,10 +120,13 @@ class TestSynth:
          ("--depth-min", "1", "--depth-max", "1"),
          ("--depth-min", "100", "--depth-max", "1000"),
          ("--image-size", OVERFLOW), ("--grid-size", OVERFLOW),
-         ("--grid-size", str(2**32)), ("--grid-size", str(10**300))],
+         ("--grid-size", str(2**32)), ("--grid-size", str(10**300)),
+         ("--noise-floor", "1e39"),
+         ("--distractor-prob", "1", "--distractor-strength", "1e300")],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
              "behind-camera", "partly-behind-camera", "overflowing-image-size",
-             "overflowing-grid-size", "grid-size-over-uint32", "huge-grid-size"],
+             "overflowing-grid-size", "grid-size-over-uint32", "huge-grid-size",
+             "overflowing-noise", "overflowing-strength"],
     )
     def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
@@ -563,10 +566,8 @@ class TestInfer:
     @pytest.mark.parametrize(
         "flags",
         [("--prior-strength", "nan"), ("--prior-strength", "inf"), ("--bandwidth", "nan"),
-         ("--generator", "nms", "--nms-upscale", "0"),
-         ("--generator", "nms", "--nms-upscale", OVERFLOW)],
-        ids=["nan-strength", "inf-strength", "nan-bandwidth", "zero-upscale",
-             "overflowing-upscale"],
+         ("--bandwidth", "1e-300")],
+        ids=["nan-strength", "inf-strength", "nan-bandwidth", "tiny-bandwidth"],
     )
     def test_bad_option_values_are_usage_errors(self, pipeline, capsys, flags):
         tmp_path, data, model = pipeline
@@ -574,6 +575,20 @@ class TestInfer:
         capsys.readouterr()  # the fixture's own output
         assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
         assert_usage_error_names(capsys.readouterr().err, flags)
+        assert not out.exists()
+
+    def test_nms_upscale_is_not_an_option(self, pipeline, capsys):
+        tmp_path, data, model = pipeline
+        out = tmp_path / "out"
+        capsys.readouterr()  # the fixture's own output
+        flags = ("--generator", "nms", "--nms-upscale", "8")
+        assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
+        assert "unrecognized arguments: --nms-upscale" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nms-upscale": 8}))
+        flags = ("--config", str(config))
+        assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
+        assert "unknown config key 'nms-upscale'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -54,13 +54,13 @@ class TestPoses:
         path = tmp_path / "poses.jsonl"
         path.write_text('{"frame": 0, "joints": [[1, 2]]}\nnot json\n')
         with pytest.raises(DataFormatError):
-            load_poses(path)
+            load_poses(path, dim=2)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "poses.jsonl"
         path.write_text('{"frame": 0}\n')
         with pytest.raises(DataFormatError):
-            load_poses(path)
+            load_poses(path, dim=2)
 
     def test_wrong_dimension(self, tmp_path):
         path = tmp_path / "poses.jsonl"
@@ -102,7 +102,7 @@ class TestPoses:
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "poses.jsonl"
         path.write_text('\n{"frame": 2, "joints": [[1.0, 2.0]]}\n\n')
-        frames, poses = load_poses(path)
+        frames, poses = load_poses(path, dim=2)
         assert frames == [2]
 
 

@@ -276,6 +276,16 @@ class TestFindModes:
         with pytest.raises(ValueError):
             find_modes_volume(grid[None], 3.0, 0)
 
+    def test_bandwidth_whose_square_underflows_rejected(self):
+        # 2**-538 squared is 0: the window would be empty
+        grid = render_gaussian((3.2, 4.6), 8)[None]
+        with pytest.raises(ValueError, match="square"):
+            find_modes_volume(grid, 2.0**-538, 4)
+        # squared, 2**-537 is the least positive float, and the window
+        # holds the seed pixel alone
+        modes = find_modes_volume(grid, 2.0**-537, 4)[0]
+        np.testing.assert_array_equal(modes.positions[0], (3, 5))
+
 
 def assert_matches_reference(grids, bandwidth, max_candidates):
     """Per joint: same counts and order as the reference engine, positions
@@ -508,7 +518,7 @@ class TestFindModesNms:
 
     def test_invalid_upscale(self):
         with pytest.raises(ValueError):
-            find_modes_nms(np.ones((8, 8)), 4, upscale=0)
+            find_modes_nms(np.ones((8, 8)), 4, radius=3.0, upscale=0)
 
 
 class TestRenderGaussian:
@@ -517,14 +527,10 @@ class TestRenderGaussian:
         assert grid[7, 12] == pytest.approx(1.0)
 
     def test_one_sigma_value(self):
-        grid = render_gaussian((12.0, 7.0), 32, sigma=1.0)
+        grid = render_gaussian((12.0, 7.0), 32)
         assert grid[7, 13] == pytest.approx(np.exp(-0.5))
 
     def test_argmax_is_nearest_pixel(self):
         grid = render_gaussian((12.3, 6.8), 32)
         y, x = np.unravel_index(np.argmax(grid), grid.shape)
         assert (x, y) == (12, 7)
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            render_gaussian((1, 1), 8, sigma=0)

@@ -42,7 +42,7 @@ def hand_normalize(pose):
 
 
 def make_volume(joints, grid_size=32, side=256.0):
-    maps = np.stack([render_gaussian(j, grid_size, 1.0) for j in joints])
+    maps = np.stack([render_gaussian(j, grid_size) for j in joints])
     return HeatMapVolume(
         maps=maps, box=BoundingBox(origin_x=0.0, origin_y=0.0, side=side)
     )
@@ -152,6 +152,9 @@ class TestConfig:
             InferenceConfig(prior_strength=-0.1)
         with pytest.raises(ValueError):
             InferenceConfig(bandwidth=0)
+        with pytest.raises(ValueError, match="square"):  # 2**-538 squared is 0
+            InferenceConfig(bandwidth=2.0**-538)
+        InferenceConfig(bandwidth=2.0**-537)  # squared, the least positive float
         with pytest.raises(ValueError):
             InferenceConfig(num_candidates=0)
         with pytest.raises(ValueError):
@@ -165,9 +168,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             InferenceConfig(**{field: value})
 
-    def test_nms_upscale_below_one_rejected(self):
-        with pytest.raises(ValueError, match="nms_upscale"):
-            InferenceConfig(nms_upscale=0)
 
 
 JOINTS = np.array([(8.0, 9.0), (22.0, 10.0), (16.0, 24.0)])

@@ -27,6 +27,8 @@ from poselift.synth import (
     subject_reach,
 )
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 class TestSkeletonSpec:
     def test_default_is_valid(self):
@@ -71,6 +73,13 @@ class TestSkeletonSpec:
         with pytest.raises(ValueError):
             CorruptionSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["strength", "noise_floor"])
+    def test_corruption_rejects_peaks_beyond_float32(self, field):
+        # 1 + float32 max rounds to float32 max in float64
+        CorruptionSpec(**{field: FLOAT32_MAX})
+        with pytest.raises(ValueError, match="float32"):
+            CorruptionSpec(**{field: np.nextafter(FLOAT32_MAX, np.inf)})
+
 
 class TestSamplePose:
     def test_bone_lengths_exact(self):
@@ -85,7 +94,8 @@ class TestSamplePose:
     def test_determinism(self):
         spec = default_skeleton()
         np.testing.assert_array_equal(
-            sample_pose(spec, 42), sample_pose(spec, 42)
+            sample_pose(spec, np.random.default_rng(42)),
+            sample_pose(spec, np.random.default_rng(42)),
         )
 
     def test_zero_ranges_give_rest_pose(self):
@@ -97,7 +107,7 @@ class TestSamplePose:
             angle_ranges=np.zeros_like(spec.angle_ranges),
             angle_centers=np.zeros_like(spec.angle_centers),
         )
-        pose = sample_pose(frozen, 0)
+        pose = sample_pose(frozen, np.random.default_rng(0))
         # rest pose: every joint at parent + length * rest direction
         expected = np.zeros((spec.num_joints, 3))
         for j in range(1, spec.num_joints):
@@ -108,7 +118,7 @@ class TestSamplePose:
         np.testing.assert_allclose(pose, expected, atol=1e-12)
 
     def test_root_at_origin(self):
-        pose = sample_pose(default_skeleton(), 1)
+        pose = sample_pose(default_skeleton(), np.random.default_rng(1))
         np.testing.assert_array_equal(pose[0], (0, 0, 0))
 
 
@@ -196,6 +206,17 @@ class TestMakeFrame:
         volume, pose_2d, _ = make_frame(pose, default_camera(), CorruptionSpec(), rng)
         crop = image_to_crop(pose_2d, volume.box)
         assert np.all(crop >= 0) and np.all(crop <= 256)
+
+    def test_largest_storable_peak_round_trips(self, tmp_path):
+        half = FLOAT32_MAX / 2  # 1 + half + half rounds to float32 max
+        corruption = CorruptionSpec(
+            distractor_prob=1.0, strength=half, noise_floor=half
+        )
+        pose, rng = placed_pose(4)
+        volume, _, _ = make_frame(pose, default_camera(), corruption, rng)
+        path = tmp_path / "frame.hmv"
+        save_volume(path, volume)
+        np.testing.assert_array_equal(load_volume(path).maps, volume.maps)
 
     def test_noise_floor_keeps_maps_nonnegative(self):
         pose, rng = placed_pose(6)
