@@ -26,16 +26,14 @@ from .geometry import (
     procrustes_error,
 )
 from .inference import (
-    GENERATOR_MEAN_SHIFT,
-    GENERATOR_NMS,
-    PRIOR_ORTHOGRAPHIC,
+    GENERATORS,
+    PRIOR_MODES,
     PRIOR_PERSPECTIVE,
     InferenceConfig,
     infer,
 )
 from .lifter import (
-    INPUT_FULL,
-    INPUT_NORMALIZED,
+    INPUT_MODES,
     LifterTrainConfig,
     TrainingDivergedError,
     load_model,
@@ -44,9 +42,10 @@ from .lifter import (
 )
 from .synth import (
     DEPTH_RANGE,
+    GRID_SIZE,
+    IMAGE_SIZE,
     CorruptionSpec,
     _frames,
-    check_depth_range,
     default_camera,
     default_skeleton,
     # unused: bench/spans.py names cli.generate_frames, and since cmd_synth
@@ -137,17 +136,13 @@ def build_parser() -> _Parser:
     p.add_argument("--poses-2d", required=False)
     p.add_argument("--poses-3d", required=False)
     p.add_argument("--out", required=False, help="output model file")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=_int, default=200)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--batch-size", type=_int, default=64)
-    p.add_argument("--hidden-sizes", type=_sizes, default="256,256")
-    p.add_argument(
-        "--input-mode",
-        choices=[INPUT_FULL, INPUT_NORMALIZED],
-        default=INPUT_FULL,
-    )
+    p.add_argument("--learning-rate", type=float, default=LifterTrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=LifterTrainConfig.momentum)
+    p.add_argument("--epochs", type=_int, default=LifterTrainConfig.epochs)
+    p.add_argument("--noise-std", type=float, default=LifterTrainConfig.noise_std)
+    p.add_argument("--batch-size", type=_int, default=LifterTrainConfig.batch_size)
+    p.add_argument("--hidden-sizes", type=_sizes, default=LifterTrainConfig.hidden_sizes)
+    p.add_argument("--input-mode", choices=INPUT_MODES, default=LifterTrainConfig.input_mode)
 
     p = sub.add_parser("infer", help="run the full pipeline on heat-map volumes")
     add_common(p)
@@ -155,19 +150,11 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=False)
     p.add_argument("--camera", help="camera file (perspective prior only)")
     p.add_argument("--out-dir", required=False)
-    p.add_argument("--prior-strength", type=float, default=1.0)
-    p.add_argument("--bandwidth", type=float, default=3.0)
-    p.add_argument("--num-candidates", type=_int, default=128)
-    p.add_argument(
-        "--prior",
-        choices=[PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC],
-        default=PRIOR_PERSPECTIVE,
-    )
-    p.add_argument(
-        "--generator",
-        choices=[GENERATOR_MEAN_SHIFT, GENERATOR_NMS],
-        default=GENERATOR_MEAN_SHIFT,
-    )
+    p.add_argument("--prior-strength", type=float, default=InferenceConfig.prior_strength)
+    p.add_argument("--bandwidth", type=float, default=InferenceConfig.bandwidth)
+    p.add_argument("--num-candidates", type=_int, default=InferenceConfig.num_candidates)
+    p.add_argument("--prior", choices=PRIOR_MODES, default=InferenceConfig.prior_mode)
+    p.add_argument("--generator", choices=GENERATORS, default=InferenceConfig.generator)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     add_common(p)
@@ -183,13 +170,13 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--out-dir", required=False)
     p.add_argument("--frames", type=_int, default=100)
-    p.add_argument("--image-size", type=_int, default=1000)
-    p.add_argument("--grid-size", type=_int, default=32)
+    p.add_argument("--image-size", type=_int, default=IMAGE_SIZE)
+    p.add_argument("--grid-size", type=_int, default=GRID_SIZE)
     p.add_argument("--depth-min", type=float, default=DEPTH_RANGE[0])
     p.add_argument("--depth-max", type=float, default=DEPTH_RANGE[1])
-    p.add_argument("--distractor-prob", type=float, default=0.0)
-    p.add_argument("--distractor-strength", type=float, default=1.1)
-    p.add_argument("--noise-floor", type=float, default=0.0)
+    p.add_argument("--distractor-prob", type=float, default=CorruptionSpec.distractor_prob)
+    p.add_argument("--distractor-strength", type=float, default=CorruptionSpec.strength)
+    p.add_argument("--noise-floor", type=float, default=CorruptionSpec.noise_floor)
     p.add_argument("--overwrite", action="store_true")
     return parser
 
@@ -253,13 +240,10 @@ def cmd_train_lifter(args) -> int:
         "mean_offset": model.mean_offset.tolist(),
         "final_loss": final_loss,
         "train_frames": len(poses_2d),
-        "config": {
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "epochs": config.epochs,
-            "noise_std": config.noise_std,
-            "batch_size": config.batch_size,
-            "seed": config.seed,
+        "config": {  # hidden_sizes and input_mode are reported above
+            key: value
+            for key, value in dataclasses.asdict(config).items()
+            if key not in ("hidden_sizes", "input_mode")
         },
     }
     fileio.atomic_write_text(
@@ -403,21 +387,19 @@ def cmd_synth(args) -> int:
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
 
-    skeleton = default_skeleton()
-    camera = default_camera(args.image_size)
-    depth_range = (args.depth_min, args.depth_max)
     with _option_values():
+        camera = default_camera(args.image_size)
         corruption = CorruptionSpec(
             distractor_prob=args.distractor_prob,
             strength=args.distractor_strength,
             noise_floor=args.noise_floor,
         )
-        check_depth_range(depth_range, skeleton)
+        frames = _frames(
+            default_skeleton(), camera, args.frames, corruption, args.seed,
+            (args.depth_min, args.depth_max), args.grid_size,
+        )
     # each volume is written as it is made; only the poses are kept
     entries, poses_2d, poses_3d = [], [], []
-    frames = _frames(
-        skeleton, camera, args.frames, corruption, args.seed, depth_range, args.grid_size
-    )
     for i, frame in enumerate(frames):
         if i == 0:  # made only once a frame exists
             (out_dir / "volumes").mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,22 @@ CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
 
 
+def _checked_maps(maps) -> np.ndarray:
+    """maps as a float64 (M, H, W) stack with stray negative activations
+    clipped to 0; ValueError, naming the joint, for a grid that holds a
+    non-finite value or no positive one."""
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != 3:
+        raise ValueError("expected (M, H, W) heat-map stack")
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"heat maps contain non-finite values at joint {np.argmin(finite)}")
+    positive = (maps > 0).any(axis=(1, 2))
+    if not positive.all():
+        raise ValueError(f"all-zero heat map for joint {np.argmin(positive)}")
+    return np.clip(maps, 0.0, None)
+
+
 @dataclass(frozen=True)
 class HeatMapVolume:
     """Per-joint likelihood grids plus the crop box that produced them."""
@@ -26,18 +42,11 @@ class HeatMapVolume:
     box: BoundingBox
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=np.float64)
-        if maps.ndim != 3:
-            raise ValueError("expected (M, H, W) heat-map stack")
+        maps = _checked_maps(self.maps)
         if maps.shape[1] != maps.shape[2]:
             raise ValueError(
                 f"heat maps must be square, got {maps.shape[1]}x{maps.shape[2]}"
             )
-        if not np.all(np.isfinite(maps)):
-            raise ValueError("heat maps contain non-finite values")
-        maps = np.clip(maps, 0.0, None)  # clamp stray negative activations
-        if np.any(maps.reshape(len(maps), -1).sum(axis=1) == 0):
-            raise ValueError("all-zero heat map for some joint")
         object.__setattr__(self, "maps", maps)
 
     @property
@@ -505,7 +514,8 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     (kept points that are not local maxima of the shadow density, detected
     with probes at radius 0.5) are dropped, except the strongest point.
     The joints are independent; batching them only amortizes the
-    per-iteration overhead.
+    per-iteration overhead. The grids are checked, and negative values
+    clipped, as HeatMapVolume does, but they need not be square.
     """
     # NaN fails this too; a bandwidth whose square underflows to 0 has an
     # empty window
@@ -513,11 +523,8 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
         raise ValueError("bandwidth must be positive and have a square above 0")
     if max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
-    grids = np.asarray(grids, dtype=np.float64)
+    grids = _checked_maps(grids)
     m = grids.shape[0]
-    for j in range(m):
-        if not np.any(grids[j] > 0):
-            raise ValueError(f"all-zero heat map for joint {j}")
 
     masks = _window_masks(float(bandwidth))
     sums = _RowSums(grids, masks)
@@ -555,7 +562,7 @@ def find_modes_nms(
     # scipy.ndimage, whose import takes about 27 MB and 0.4 s (2-CPU VM)
     from scipy import ndimage
 
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _checked_maps([grid])[0]
     h, w = grid.shape
     # sample at upscaled pixel centers, pixel-center aligned; at upscale 1
     # these are the pixels themselves and the samples the grid, bit for bit

@@ -29,6 +29,8 @@ PRIOR_PERSPECTIVE = "perspective"
 PRIOR_ORTHOGRAPHIC = "orthographic"
 GENERATOR_MEAN_SHIFT = "mean-shift"
 GENERATOR_NMS = "nms"
+PRIOR_MODES = (PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC)
+GENERATORS = (GENERATOR_MEAN_SHIFT, GENERATOR_NMS)
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,9 @@ class InferenceConfig:
             raise ValueError("bandwidth must be finite, positive, with a square above 0")
         if self.num_candidates < 1:
             raise ValueError("need at least one candidate")
-        if self.prior_mode not in (PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC):
+        if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
-        if self.generator not in (GENERATOR_MEAN_SHIFT, GENERATOR_NMS):
+        if self.generator not in GENERATORS:
             raise ValueError(f"unknown candidate generator {self.generator!r}")
 
 

@@ -34,6 +34,7 @@ TARGET_SCALE = 256.0
 # input layouts: normalized joints only, or joints plus mean and scale
 INPUT_FULL = "full"
 INPUT_NORMALIZED = "normalized"
+INPUT_MODES = (INPUT_FULL, INPUT_NORMALIZED)
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class LifterModel:
     input_mode: str = INPUT_FULL
 
     def __post_init__(self):
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"unknown input mode {self.input_mode!r}")
         if self.num_joints < 2:  # a pose of one joint cannot be normalized
             raise ValueError("a lifter needs at least 2 joints")
         dims = self.layer_sizes
@@ -123,6 +126,8 @@ class LifterTrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(width < 1 for width in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"unknown input mode {self.input_mode!r}")
 
 
 class TrainingDivergedError(RuntimeError):

@@ -31,6 +31,10 @@ BOX_MARGIN = 0.15
 # default (min, max) depth of a placed subject's centroid, mm from the camera
 DEPTH_RANGE = (3000.0, 6000.0)
 
+# default side, in pixels, of the square camera image and of a heat map
+IMAGE_SIZE = 1000
+GRID_SIZE = 32
+
 # bootstrap_mean_ci: resamples drawn, and the interval's total tail mass
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_ALPHA = 0.05
@@ -150,7 +154,10 @@ def default_skeleton() -> SkeletonSpec:
     )
 
 
-def default_camera(image_size: int = 1000) -> CameraModel:
+def default_camera(image_size: int = IMAGE_SIZE) -> CameraModel:
+    # the grid size's bounds; by 1e20 the principal point swamps a pose's extent
+    if not 1 <= image_size < 2**32:
+        raise ValueError("image size must be in [1, 2**32 - 1]")
     return CameraModel(fx=1150.0, fy=1150.0, cx=image_size / 2, cy=image_size / 2)
 
 
@@ -191,7 +198,7 @@ def make_frame(
     camera: CameraModel,
     corruption: CorruptionSpec,
     rng,
-    grid_size: int = 32,
+    grid_size: int = GRID_SIZE,
 ):
     """Project a camera-space pose and render its (optionally corrupted)
     heat-map volume. Returns (volume, pose_2d_image, pose_3d)."""
@@ -281,15 +288,18 @@ class SyntheticFrame:
 
 
 def _frames(spec, camera, count, corruption, seed, depth_range, grid_size):
-    """generate_frames' frames, made one at a time."""
+    """generate_frames' frames, made one at a time; the depth range is
+    checked against the skeleton's reach before any pose is sampled."""
+    check_depth_range(depth_range, spec)
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        pose = sample_pose(spec, rng)
-        pose = place_subject(pose, camera, rng, depth_range)
-        volume, pose_2d, pose_3d = make_frame(
-            pose, camera, corruption, rng, grid_size=grid_size
-        )
-        yield SyntheticFrame(volume=volume, pose_2d=pose_2d, pose_3d=pose_3d)
+    poses = (
+        place_subject(sample_pose(spec, rng), camera, rng, depth_range)
+        for _ in range(count)
+    )
+    return (
+        SyntheticFrame(*make_frame(pose, camera, corruption, rng, grid_size=grid_size))
+        for pose in poses
+    )
 
 
 def generate_frames(
@@ -299,7 +309,7 @@ def generate_frames(
     corruption: CorruptionSpec,
     seed: int,
     depth_range=DEPTH_RANGE,
-    grid_size: int = 32,
+    grid_size: int = GRID_SIZE,
 ) -> list[SyntheticFrame]:
     return list(_frames(spec, camera, count, corruption, seed, depth_range, grid_size))
 

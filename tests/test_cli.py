@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poselift import cli
+from poselift import cli, synth
 from poselift.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -27,7 +27,8 @@ from poselift.cli import (
 )
 from poselift.fileio import DataFormatError, load_poses, load_volume, save_poses, save_volume
 from poselift.heatmaps import HeatMapVolume
-from poselift.lifter import load_model, save_model
+from poselift.inference import GENERATORS, PRIOR_MODES, InferenceConfig
+from poselift.lifter import INPUT_MODES, LifterTrainConfig, load_model, save_model
 
 
 # an integer option value that no float can hold
@@ -119,14 +120,16 @@ class TestSynth:
          ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50"),
          ("--depth-min", "1", "--depth-max", "1"),
          ("--depth-min", "100", "--depth-max", "1000"),
-         ("--image-size", OVERFLOW), ("--grid-size", OVERFLOW),
+         ("--image-size", OVERFLOW), ("--image-size", str(10**20)),
+         ("--image-size", "0"), ("--grid-size", OVERFLOW),
          ("--grid-size", str(2**32)), ("--grid-size", str(10**300)),
          ("--noise-floor", "1e39"),
          ("--distractor-prob", "1", "--distractor-strength", "1e300")],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
              "behind-camera", "partly-behind-camera", "overflowing-image-size",
-             "overflowing-grid-size", "grid-size-over-uint32", "huge-grid-size",
-             "overflowing-noise", "overflowing-strength"],
+             "huge-image", "zero-image", "overflowing-grid-size",
+             "grid-size-over-uint32", "huge-grid-size", "overflowing-noise",
+             "overflowing-strength"],
     )
     def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
@@ -964,7 +967,50 @@ def test_import_leaves_scipy_ndimage_out():
     assert done.stdout.split() == ["[]", "False"]
 
 
+def option_actions(command):
+    """The argparse actions of a subcommand, by destination."""
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return {a.dest: a for a in commands.choices[command]._actions}
+
+
 class TestUsage:
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ("train-lifter", {
+                "learning_rate": LifterTrainConfig().learning_rate,
+                "momentum": LifterTrainConfig().momentum,
+                "epochs": LifterTrainConfig().epochs,
+                "noise_std": LifterTrainConfig().noise_std,
+                "batch_size": LifterTrainConfig().batch_size,
+                "hidden_sizes": LifterTrainConfig().hidden_sizes,
+                "input_mode": LifterTrainConfig().input_mode,
+            }),
+            ("infer", {
+                "prior_strength": InferenceConfig().prior_strength,
+                "bandwidth": InferenceConfig().bandwidth,
+                "num_candidates": InferenceConfig().num_candidates,
+                "prior": InferenceConfig().prior_mode,
+                "generator": InferenceConfig().generator,
+            }),
+            ("synth", {
+                "distractor_prob": synth.CorruptionSpec().distractor_prob,
+                "distractor_strength": synth.CorruptionSpec().strength,
+                "noise_floor": synth.CorruptionSpec().noise_floor,
+                "image_size": synth.IMAGE_SIZE,
+                "grid_size": synth.GRID_SIZE,
+            }),
+        ],
+    )
+    def test_defaults_are_the_library_defaults(self, command, defaults):
+        parsed = vars(cli.build_parser().parse_args([command]))
+        assert {dest: parsed[dest] for dest in defaults} == defaults
+
+    def test_choices_are_the_library_lists(self):
+        assert option_actions("train-lifter")["input_mode"].choices is INPUT_MODES
+        assert option_actions("infer")["prior"].choices is PRIOR_MODES
+        assert option_actions("infer")["generator"].choices is GENERATORS
+
     def test_unknown_subcommand(self):
         # the parser error hook turns argparse failures into exit code 1
         assert run("frobnicate") == EXIT_USAGE

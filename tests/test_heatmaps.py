@@ -276,6 +276,28 @@ class TestFindModes:
         with pytest.raises(ValueError):
             find_modes_volume(grid[None], 3.0, 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_naming_joint(self, value):
+        grids = np.stack([render_gaussian((3.0, 4.0), 8)] * 3)
+        grids[1, 2, 5] = value
+        with pytest.raises(ValueError, match="non-finite values at joint 1"):
+            find_modes_volume(grids, 3.0, 4)
+
+    def test_all_zero_grid_rejected_naming_joint(self):
+        grids = np.stack([render_gaussian((3.0, 4.0), 8)] * 3)
+        grids[2] = -1.0  # clipped at 0, as HeatMapVolume clips
+        with pytest.raises(ValueError, match="all-zero heat map for joint 2"):
+            find_modes_volume(grids, 3.0, 4)
+
+    def test_negative_pixels_count_as_zero(self):
+        rng = np.random.default_rng(21)
+        grids = rng.uniform(-1, 1, size=(3, 20, 24))
+        got = find_modes_volume(grids, 2.5, 16)
+        want = find_modes_volume(np.clip(grids, 0, None), 2.5, 16)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.positions, b.positions)
+            np.testing.assert_array_equal(a.values, b.values)
+
     def test_bandwidth_whose_square_underflows_rejected(self):
         # 2**-538 squared is 0: the window would be empty
         grid = render_gaussian((3.2, 4.6), 8)[None]
@@ -515,6 +537,14 @@ class TestFindModesNms:
         grid[5, 9] = 1.0
         modes = find_modes_nms(grid, 4, upscale=1, radius=2.0)
         np.testing.assert_allclose(modes.positions[0], (9, 5))
+
+    def test_grid_checked_as_a_volume_is(self):
+        grid = render_gaussian((3.0, 4.0), 8)
+        grid[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            find_modes_nms(grid, 4, radius=3.0)
+        with pytest.raises(ValueError, match="all-zero"):
+            find_modes_nms(np.zeros((8, 8)), 4, radius=3.0)
 
     def test_invalid_upscale(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,10 @@ class TestForward:
         with pytest.raises(ValueError, match="at least 2 joints"):
             make_model(np.random.default_rng(0), num_joints=1)
 
+    def test_unknown_input_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown input mode 'bogus'"):
+            make_model(np.random.default_rng(0), input_mode="bogus")
+
     def test_zero_weight_network_outputs_bias(self):
         m = 3
         w = (np.zeros((2 * m + 3, 4)), np.zeros((4, 3 * m)))
@@ -304,6 +308,12 @@ class TestTraining:
     def test_config_rejects_non_finite_values(self, field, value):
         with pytest.raises(ValueError):
             LifterTrainConfig(**{field: value})
+
+    def test_config_rejects_unknown_input_mode(self):
+        # the modes are case-sensitive: "Full" once trained the 34-wide
+        # normalized layout and was saved as normalized
+        with pytest.raises(ValueError, match="unknown input mode 'Full'"):
+            LifterTrainConfig(input_mode="Full")
 
     def test_normalized_input_mode(self):
         rng = np.random.default_rng(17)

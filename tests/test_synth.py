@@ -8,6 +8,7 @@ determinism and self-consistency invariants.
 import numpy as np
 import pytest
 
+from poselift import synth
 from poselift.fileio import load_volume, save_volume
 from poselift.geometry import image_to_crop, image_to_grid, error_2d
 from poselift.inference import InferenceConfig
@@ -226,6 +227,16 @@ class TestMakeFrame:
         assert np.all(volume.maps >= 0)
 
 
+class TestDefaultCamera:
+    @pytest.mark.parametrize("image_size", [0, 2**32, 1e20, np.nan])
+    def test_image_size_outside_uint32_rejected(self, image_size):
+        with pytest.raises(ValueError, match="image size"):
+            default_camera(image_size)
+
+    def test_largest_image_size_accepted(self):
+        assert default_camera(2**32 - 1).cx == (2**32 - 1) / 2
+
+
 class TestGenerateFrames:
     def test_self_consistency(self):
         # ground-truth 2D must be exactly the projection of ground-truth 3D
@@ -249,6 +260,20 @@ class TestGenerateFrames:
             np.testing.assert_array_equal(fa.volume.maps, fb.volume.maps)
             np.testing.assert_array_equal(fa.pose_2d, fb.pose_2d)
             np.testing.assert_array_equal(fa.pose_3d, fb.pose_3d)
+
+    def test_depth_range_within_reach_rejected_up_front(self, monkeypatch):
+        # 100 mm is within the skeleton's reach: a placed subject can have
+        # joints behind the camera, so no pose may be sampled at all
+        sampled = []
+        monkeypatch.setattr(
+            synth, "sample_pose", lambda *args: sampled.append(args) or sample_pose(*args)
+        )
+        with pytest.raises(ValueError, match="skeleton's reach"):
+            generate_frames(
+                default_skeleton(), default_camera(), 200, CorruptionSpec(), 1,
+                depth_range=(100.0, 200.0),
+            )
+        assert sampled == []
 
     def test_depth_range_respected(self):
         frames = generate_frames(
