@@ -46,6 +46,7 @@ from .synth import (
     IMAGE_SIZE,
     CorruptionSpec,
     _frames,
+    check_grid_size,
     default_camera,
     default_skeleton,
     # unused: bench/spans.py names cli.generate_frames, and since cmd_synth
@@ -381,8 +382,10 @@ def cmd_synth(args) -> int:
     _require(args, "out-dir")
     if args.frames < 1:
         raise UsageError("--frames must be >= 1")
-    if not 1 <= args.grid_size < 2**32:  # a volume header holds it as uint32
-        raise UsageError("--grid-size must be in [1, 2**32 - 1]")
+    try:
+        check_grid_size(args.grid_size)
+    except ValueError as e:
+        raise UsageError(f"--grid-size: {e}") from None
     out_dir = Path(args.out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")

@@ -83,6 +83,10 @@ _PROBE_DIRECTIONS = np.array(
     ]
 )
 
+# Bins per radius across x in _close_pairs' strips: finer bins examine
+# fewer pairs beyond the radius, and add no work of their own
+_PAIR_BINS = 16
+
 # Window states. A flat-kernel step from point p depends only on the set of
 # pixels inside the window, and that set depends only on the base pixel
 # floor(p) and the fraction f = p - floor(p). The pixel at offset (ox, oy)
@@ -304,20 +308,27 @@ class _RowSums:
         r = self.masks.r
         los, his = np.divmod(self.intervals, r + 1)
         los -= r - 1
-        self.sums = np.zeros((len(los), self.plane), dtype=complex)  # w + i*w*ox
-        self.squares = np.zeros((len(los), self.plane))  # w*ox^2
-        for lo in np.unique(los):
-            w, wx, wxx = np.zeros((3, self.plane))
-            for ox in range(lo, his[los == lo].max() + 1):
-                # weights at (x + ox, y) on the table's (y, x) lattice
-                v = self._padded[:, :, ox + r : ox + r + self.width].reshape(-1)
-                w += v
-                wx += v * ox
-                wxx += v * (ox * ox)
-                for k in np.flatnonzero((los == lo) & (his == ox)):
-                    self.sums[k].real = w
-                    self.sums[k].imag = wx
-                    self.squares[k] = wxx
+        self.sums = np.empty((len(los), self.plane), dtype=complex)  # w + i*w*ox
+        self.squares = np.empty((len(los), self.plane))  # w*ox^2
+        self.sums[los > his] = 0
+        self.squares[los > his] = 0
+        # Each interval's sums add their offsets left to right from 0. The
+        # intervals ascend by (lo, hi), so one that shares the lo of the one
+        # before it goes on from that one's sums, at offset start.
+        first = np.concatenate([[True], los[1:] != los[:-1]])
+        start = np.where(first, los, np.roll(his, 1) + 1)
+        term, square = np.empty(self.plane, dtype=complex), np.empty(self.plane)
+        for ox in range(los.min(), his.max() + 1):
+            # weights at (x + ox, y) on the table's (y, x) lattice
+            term.real = self._padded[:, :, ox + r : ox + r + self.width].reshape(-1)
+            np.multiply(term.real, ox, out=term.imag)
+            np.multiply(term.real, ox * ox, out=square)
+            for k in np.flatnonzero((start <= ox) & (ox <= his)):
+                w, wxx = self.sums[k], self.squares[k]
+                if ox == start[k]:
+                    w, wxx = (0.0, 0.0) if first[k] else (self.sums[k - 1], self.squares[k - 1])
+                np.add(w, term, out=self.sums[k])
+                np.add(wxx, square, out=self.squares[k])
 
     def cells(self, joints, bx, by):
         """Table index of each base pixel (bx, by) of a joint."""
@@ -327,7 +338,9 @@ class _RowSums:
         """Table indices (rows, n) of each state's mask rows."""
         if self._known != len(self.masks.rows):
             self._refresh()
-        return np.take(self.offsets, mask_ids, axis=1) + cells
+        idx = np.take(self.offsets, mask_ids, axis=1)
+        idx += cells
+        return idx
 
     def step(self, cells, bx, by, mask_ids):
         """Mean-shift targets (x, y) and window weights of states."""
@@ -345,10 +358,11 @@ class _RowSums:
         rows = self.sums.take(idx)
         total = np.add.reduce(rows, axis=0)
         weight = total.real
-        squares = np.add.reduce(self.squares.take(idx), axis=0)
+        part = self.squares.take(idx)  # reused below: fewer large temporaries
+        squares = np.add.reduce(part, axis=0)
         oy = self.masks.offsets[:, None]
-        oy1 = np.add.reduce(rows.real * oy, axis=0)
-        oy2 = np.add.reduce(rows.real * (oy * oy), axis=0)
+        oy1 = np.add.reduce(np.multiply(rows.real, oy, out=part), axis=0)
+        oy2 = np.add.reduce(np.multiply(rows.real, oy * oy, out=part), axis=0)
         fx, fy = x - bx, y - by
         # sum of w * d^2 = sum of w * ((ox - fx)^2 + (oy - fy)^2), expanded
         d2 = squares - 2 * fx * total.imag + oy2 - 2 * fy * oy1 + (fx * fx + fy * fy) * weight
@@ -362,6 +376,17 @@ while np.sqrt(_MOVED_D2) >= CONVERGENCE_TOL:
     _MOVED_D2 = np.nextafter(_MOVED_D2, 0.0)
 while np.sqrt(_MOVED_D2) < CONVERGENCE_TOL:
     _MOVED_D2 = np.nextafter(_MOVED_D2, 1.0)
+
+
+def _first_occurrences(keys):
+    """Index of each distinct key's first occurrence, in ascending key
+    order: np.unique(keys, return_index=True)[1] for a non-empty keys."""
+    # the default sort is not stable, so the minimum index of each run of
+    # equal keys is the first occurrence
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    return np.minimum.reduceat(order, starts)
 
 
 def _converge(grids, masks: _WindowMasks, sums: _RowSums):
@@ -405,12 +430,30 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
         for column, values in zip(record, (key, x, y)):
             column.append(values)
     keys, tx, ty = (np.concatenate(c) for c in record)
-    first = np.unique(keys, return_index=True)[1]
+    first = _first_occurrences(keys)
     x, y = _round(tx[first]), _round(ty[first])
     joints = keys[first] // (_MASK_SLOTS * sums.height * sums.width)
     bx, by, mask_ids = masks.states(x, y)
     values = sums.step(sums.cells(joints, bx, by), bx, by, mask_ids)[2]
     return x, y, joints, values
+
+
+def _priority_order(x, y, joints, values):
+    """Order of points by joint, then descending value, ties by (y, x),
+    then by index: np.lexsort((y + 1j * x, joints - 1j * values))."""
+    # the default sort is not stable: runs of equal values are re-sorted by
+    # (y, x, index); then a sort on unique (joint, rank) keys is a stable
+    # sort by joint
+    order = np.argsort(-values)
+    ranked = values[order]
+    tie = ranked[1:] == ranked[:-1]
+    if tie.any():
+        run = np.cumsum(np.concatenate([[True], ~tie]))
+        tied = np.flatnonzero(np.concatenate([[False], tie]) | np.concatenate([tie, [False]]))
+        members = order[tied]
+        order[tied] = members[np.lexsort((members, x[members], y[members], run[tied]))]
+    n = len(order)
+    return order[np.argsort(joints[order] * n + np.arange(n))]
 
 
 def _close_pairs(x, y, groups, radius):
@@ -419,36 +462,36 @@ def _close_pairs(x, y, groups, radius):
     n = len(x)
     if n < 2 or not radius > 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    # cells a hair wider than the radius, and at least 2^-20 of the spread
-    # so that keys fit in int64: close points sit in the same or adjacent
-    # cells; a margin cell on every side keeps neighbors in range
+    # strips a hair taller than the radius, cut into bins a hair wider than
+    # a _PAIR_BINS-th of it (both at least 2^-20 of the spread, so that keys
+    # fit in int64): a close point lies in the same or the next strip, at
+    # most _PAIR_BINS bins to either side
+    gap = radius * (1 + 1e-9)
     x0, y0 = x.min(), y.min()
-    size = max(radius * (1 + 1e-9), max(x.max() - x0, y.max() - y0) * 2.0**-20)
-    cx = np.floor((x - x0) / size).astype(np.intp) + 1
-    cy = np.floor((y - y0) / size).astype(np.intp) + 1
-    nx, ny = int(cx.max()) + 2, int(cy.max()) + 2
-    key = (groups * ny + cy) * nx + cx
-    by_cell = np.argsort(key)
-    key = key[by_cell]
-
-    def ends(cells):  # index past the last point of each cell
-        return np.searchsorted(key, cells, side="right")
-
-    # in cell order, each unordered pair once: the points after this one up
-    # to the end of the next cell in the row, then the three cells below
+    least = max(x.max() - x0, y.max() - y0) * 2.0**-20
+    strip = np.floor((y - y0) / max(gap, least)).astype(np.intp)
+    bins = np.floor((x - x0) / max(gap / _PAIR_BINS, least)).astype(np.intp)
+    reach = _PAIR_BINS
+    nx = int(bins.max()) + reach + 1  # key + reach stays inside a strip
+    key = (groups * (int(strip.max()) + 2) + strip) * nx + bins
+    by_key = np.argsort(key)
+    key = key[by_key]
+    # in key order, each unordered pair once: the points after this one in
+    # its strip up to reach bins to the right, then those of the next strip
+    # from reach bins to the left to reach bins to the right
     start = np.empty(2 * n, dtype=np.intp)
     stop = np.empty(2 * n, dtype=np.intp)
     start[0::2] = np.arange(1, n + 1)
-    stop[0::2] = ends(key + 1)
-    start[1::2] = ends(key + nx - 2)
-    stop[1::2] = ends(key + nx + 1)
+    stop[0::2] = np.searchsorted(key, key + reach, side="right")
+    start[1::2] = np.searchsorted(key, key + (nx - reach), side="left")
+    stop[1::2] = np.searchsorted(key, key + (nx + reach), side="right")
     count = stop - start
-    first = np.repeat(np.arange(n), count[0::2] + count[1::2])
-    second = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(first))
-    xs, ys = x[by_cell], y[by_cell]
-    dx, dy = xs[second] - xs[first], ys[second] - ys[first]
-    close = dx * dx + dy * dy < radius * radius
-    i, j = by_cell[first[close]], by_cell[second[close]]
+    # the pairs examined, as indices into x and y
+    first = np.repeat(by_key, count[0::2] + count[1::2])
+    second = by_key[np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(first))]
+    dx, dy = x[second] - x[first], y[second] - y[first]
+    close = np.flatnonzero(dx * dx + dy * dy < radius * radius)
+    i, j = first[close], second[close]
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -482,14 +525,22 @@ def _suppress(x, y, groups, radius, limit):
 
 def _local_maxima(sums: _RowSums, joints, x, y):
     """True where no probe around the point has higher shadow density."""
-    limit = sums.shadow(joints, x, y) * (1.0 + 1e-9)
-    alive = np.arange(len(x))
+    n = len(x)
+    # the first probe runs on every point, so it shares the base call
+    dx, dy = _PROBE_RADIUS * _PROBE_DIRECTIONS[0]
+    both = sums.shadow(np.tile(joints, 2), np.concatenate([x, x + dx]), np.concatenate([y, y + dy]))
+    limit = both[:n] * (1.0 + 1e-9)
+    alive = np.flatnonzero(both[n:] <= limit)
     # each axis both ways before the diagonals: a saddle's rising axis shows
-    # sooner; the outcome does not depend on the order
-    for dx, dy in _PROBE_RADIUS * _PROBE_DIRECTIONS[[0, 4, 2, 6, 1, 5, 3, 7]]:
-        probe = sums.shadow(joints[alive], x[alive] + dx, y[alive] + dy)
-        alive = alive[probe <= limit[alive]]
-    out = np.zeros(len(x), dtype=bool)
+    # sooner, and the diagonals, which reject few points, share one call;
+    # the outcome does not depend on the order
+    for batch in ([4], [2], [6], [1, 5, 3, 7]):
+        dx, dy = _PROBE_RADIUS * _PROBE_DIRECTIONS[batch].T[:, :, None]
+        probe = sums.shadow(
+            np.tile(joints[alive], len(batch)), (x[alive] + dx).ravel(), (y[alive] + dy).ravel()
+        )
+        alive = alive[(probe.reshape(len(batch), -1) <= limit[alive]).all(axis=0)]
+    out = np.zeros(n, dtype=bool)
     out[alive] = True
     return out
 
@@ -529,9 +580,7 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     masks = _window_masks(float(bandwidth))
     sums = _RowSums(grids, masks)
     x, y, joints, values = _converge(grids, masks, sums)
-    # by joint, then descending value, ties by (y, x); complex keys sort by
-    # real part, then imaginary part
-    order = np.lexsort((y + 1j * x, joints - 1j * values))
+    order = _priority_order(x, y, joints, values)
     x, y, joints, values = x[order], y[order], joints[order], values[order]
     keep = _suppress(x, y, joints, bandwidth / 2, max_candidates)
     x, y, joints, values = x[keep], y[keep], joints[keep], values[keep]

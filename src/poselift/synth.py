@@ -7,6 +7,7 @@ rendered as ground-truth heat maps with optional distractor corruption.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -267,6 +268,13 @@ def check_depth_range(depth_range, spec: SkeletonSpec | None = None) -> None:
         )
 
 
+def check_grid_size(grid_size) -> None:
+    """ValueError unless grid_size is an integer in [1, 2**32 - 1]: a volume
+    file's header holds it as uint32."""
+    if not (isinstance(grid_size, numbers.Integral) and 1 <= grid_size < 2**32):
+        raise ValueError("grid size must be an integer in [1, 2**32 - 1]")
+
+
 def place_subject(pose_centered, camera: CameraModel, rng, depth_range=DEPTH_RANGE):
     """Translate a root-centered pose to a random position in the frustum."""
     check_depth_range(depth_range)
@@ -288,8 +296,10 @@ class SyntheticFrame:
 
 
 def _frames(spec, camera, count, corruption, seed, depth_range, grid_size):
-    """generate_frames' frames, made one at a time; the depth range is
-    checked against the skeleton's reach before any pose is sampled."""
+    """generate_frames' frames, made one at a time; the grid size, and the
+    depth range against the skeleton's reach, are checked before any pose
+    is sampled."""
+    check_grid_size(grid_size)
     check_depth_range(depth_range, spec)
     rng = np.random.default_rng(seed)
     poses = (

@@ -332,6 +332,17 @@ RANDOM_GRIDS = st.tuples(st.integers(1, 4), st.integers(1, 16), st.integers(1, 1
 BANDWIDTHS = st.sampled_from([0.75, 1.0, 1.5, 2.0, 2.5, 3.0])
 
 
+def assert_close_pairs(x, y, groups, radius):
+    """hm._close_pairs gives the pairs that the distance test over every
+    pair of points gives, each once, as (lower, higher) index."""
+    i, j = np.triu_indices(len(x), 1)
+    close = (groups[i] == groups[j]) & ((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2 < radius**2)
+    got_i, got_j = hm._close_pairs(x, y, groups, radius)
+    assert np.all(got_i < got_j)
+    got = np.sort(got_i * len(x) + got_j)
+    np.testing.assert_array_equal(got, i[close] * len(x) + j[close])
+
+
 class TestReferenceEngine:
     """The window-state engine against the plain batched mean shift in
     tests/modes_reference.py."""
@@ -473,6 +484,88 @@ class TestReferenceEngine:
                 want = ref.greedy_suppress(points, values, radius, limit)
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("num_groups", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_suppression_per_group_matches_loop(self, seed, num_groups):
+        """Each group is suppressed, and capped, as if it were alone."""
+        rng = np.random.default_rng(100 + seed)
+        sizes = rng.integers(1, 80, size=num_groups)
+        sizes[0] = 1  # a one-point group
+        groups = np.repeat(np.arange(num_groups), sizes)
+        points = rng.integers(-6, 6, size=(len(groups), 2)) * 0.5
+        values = rng.integers(0, 3, size=len(groups)).astype(np.float64)
+        order = np.lexsort((-values, groups))  # groups ascending, priority order within
+        points, values = points[order], values[order]
+        for radius in (0.5, 1.5, 3.0):
+            for limit in (1, 3, len(groups)):
+                keep = hm._suppress(points[:, 0], points[:, 1], groups, radius, limit)
+                for g in range(num_groups):
+                    mine = groups == g
+                    want = ref.greedy_suppress(points[mine], values[mine], radius, limit)
+                    np.testing.assert_array_equal(points[keep & mine], want[0])
+                    np.testing.assert_array_equal(values[keep & mine], want[1])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        data=st.data(),
+        radius=st.sampled_from([0.01, 0.5, 1.5, 3.0]),
+        scale=st.sampled_from([1.0, 2.0**24]),
+    )
+    def test_close_pairs_match_brute_force(self, sizes, data, radius, scale):
+        """Every pair within radius of each other in one group, and no other.
+        A 0.5 lattice puts many pairs at exactly the radius and many points
+        on strip and bin edges; a wide spread (scale) makes strips and bins
+        wider than the radius needs."""
+        n = sum(sizes)
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        groups = groups[data.draw(st.permutations(range(n)))]
+        lattice = st.integers(-8, 8).map(lambda k: k * 0.5)
+        xy = data.draw(arrays(np.float64, (2, n), elements=lattice)) * scale
+        if scale > 1:
+            xy[:, 0] += 1.0  # a point off the coarse lattice
+        assert_close_pairs(*xy, groups, radius)
+
+    @pytest.mark.parametrize("radius", [0.01, 0.5, 1.5, 3.0])
+    def test_close_pairs_just_inside_the_radius(self, radius):
+        """Pairs as far apart as a close pair can be, across x, across y and
+        in between, both ways, at many alignments to the strips and bins."""
+        start = (np.arange(-40, 40) / 97 - 0.3) * radius
+        x, y = np.meshgrid(start, start[::9])
+        x, y = x.ravel(), y.ravel()
+        angles = np.arange(-6, 7) * (np.pi / 12)  # -90 to 90 degrees
+        near = radius * (1 - 2.0**-30)
+        dx, dy = near * np.cos(angles), near * np.sin(angles)
+        k = np.arange(len(x)) % len(angles)  # one partner per point
+        groups = np.arange(len(x))  # a pair per group: only partners are close
+        assert_close_pairs(
+            np.concatenate([x, x + dx[k]]), np.concatenate([y, y + dy[k]]),
+            np.tile(groups, 2), radius,
+        )
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 60), data=st.data())
+    def test_priority_order_matches_lexsort(self, n, data):
+        """Ties abound: three values, a coarse (y, x) lattice, repeated
+        points; the oracle is the lexsort over two complex keys."""
+        values = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.25, 1.0, 1 / 3])))
+        lattice = st.integers(-2, 2).map(lambda k: k * 0.5)
+        x, y = data.draw(arrays(np.float64, (2, n), elements=lattice))
+        joints = data.draw(arrays(np.intp, n, elements=st.integers(0, 3)))
+        want = np.lexsort((y + 1j * x, joints - 1j * values))
+        np.testing.assert_array_equal(hm._priority_order(x, y, joints, values), want)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        keys=arrays(
+            np.int64, st.integers(1, 300), elements=st.integers(-5, 5).map(lambda k: k << 40)
+        )
+    )
+    def test_first_occurrences_match_unique(self, keys):
+        np.testing.assert_array_equal(
+            hm._first_occurrences(keys), np.unique(keys, return_index=True)[1]
+        )
 
     def test_nms_matches_loop_suppression(self, monkeypatch):
         def loop_suppress(x, y, groups, radius, limit):  # one group, as in NMS

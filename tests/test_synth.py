@@ -275,6 +275,19 @@ class TestGenerateFrames:
             )
         assert sampled == []
 
+    @pytest.mark.parametrize("grid_size", [0, 2**32, 8.5])
+    def test_grid_size_outside_uint32_rejected_up_front(self, monkeypatch, grid_size):
+        sampled = []
+        monkeypatch.setattr(
+            synth, "sample_pose", lambda *args: sampled.append(args) or sample_pose(*args)
+        )
+        with pytest.raises(ValueError, match="grid size"):
+            generate_frames(
+                default_skeleton(), default_camera(), 3, CorruptionSpec(), 1,
+                grid_size=grid_size,
+            )
+        assert sampled == []
+
     def test_depth_range_respected(self):
         frames = generate_frames(
             default_skeleton(), default_camera(), 5, CorruptionSpec(), 1,
