@@ -595,43 +595,68 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     ]
 
 
-def find_modes_nms(
-    grid, max_candidates: int, radius: float, upscale: int = 8
-) -> JointCandidates:
+# find_modes_nms samples the grid at this many points per pixel and axis
+_NMS_UPSCALE = 8
+
+
+def _upsample_axis(n: int, upscale: int):
+    """Clipped index pairs and weights t of linear interpolation at the
+    centers (i + 0.5) / upscale - 0.5 of n * upscale pixels over n."""
+    c = (np.arange(n * upscale) + 0.5) / upscale - 0.5
+    base = np.floor(c)
+    first = np.clip(base, 0, n - 1).astype(np.intp)
+    second = np.clip(base + 1, 0, n - 1).astype(np.intp)
+    return first, second, c - base
+
+
+def _upsample(grid, upscale: int) -> np.ndarray:
+    """Bilinear upsampling at pixel-center aligned points, edge values held
+    outside; at upscale 1 the grid itself. The corners are added to 0.0
+    in y-major order, each as value * wy * wx, which gives the same bits
+    as scipy.ndimage.map_coordinates(order=1, mode="nearest")."""
+    h, w = grid.shape
+    y0, y1, ty = _upsample_axis(h, upscale)
+    x0, x1, tx = _upsample_axis(w, upscale)
+    ty = ty[:, None]
+    top, bottom = grid[y0], grid[y1]
+    return (
+        0.0
+        + top[:, x0] * (1 - ty) * (1 - tx)
+        + top[:, x1] * (1 - ty) * tx
+        + bottom[:, x0] * ty * (1 - tx)
+        + bottom[:, x1] * ty * tx
+    )
+
+
+def _peak_mask(up) -> np.ndarray:
+    """True where a positive value is at least each of its 8 neighbors,
+    outside the grid counting as 0: the max of the zero-padded 3x3 window,
+    taken across rows and then across columns, is the value itself."""
+    padded = np.pad(up, 1)
+    rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    window = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    return (up == window) & (up > 0)
+
+
+def find_modes_nms(grid, max_candidates: int, radius: float) -> JointCandidates:
     """Candidate extraction baseline: bilinear upsampling plus greedy NMS.
 
-    The grid is bilinearly upsampled by the given factor, strict local
-    maxima over 8-neighborhoods are collected, and greedy non-maximum
-    suppression with the scaled radius keeps the strongest peaks. Output
-    coordinates are mapped back to the original grid scale.
+    The grid is bilinearly upsampled by 8, local maxima over
+    8-neighborhoods are collected, and greedy non-maximum suppression with
+    the scaled radius keeps the strongest peaks. Output coordinates are
+    mapped back to the original grid scale.
     """
-    if upscale < 1:
-        raise ValueError("upscale must be >= 1")
-    # imported here, not at module level: only this baseline generator uses
-    # scipy.ndimage, whose import takes about 27 MB and 0.4 s (2-CPU VM)
-    from scipy import ndimage
-
     grid = _checked_maps([grid])[0]
-    h, w = grid.shape
-    # sample at upscaled pixel centers, pixel-center aligned; at upscale 1
-    # these are the pixels themselves and the samples the grid, bit for bit
-    yy, xx = np.mgrid[0 : h * upscale, 0 : w * upscale]
-    coords = np.stack([(yy + 0.5) / upscale - 0.5, (xx + 0.5) / upscale - 0.5])
-    up = ndimage.map_coordinates(grid, coords, order=1, mode="nearest")
-
-    # local maxima over 8-neighborhoods; >= keeps the symmetric ties that
-    # bilinear resampling produces around a peak, NMS then drops duplicates
-    footprint = np.ones((3, 3), dtype=bool)
-    footprint[1, 1] = False
-    neighbor_max = ndimage.maximum_filter(up, footprint=footprint, mode="constant")
-    peaks = (up >= neighbor_max) & (up > 0)
-    pys, pxs = np.nonzero(peaks)
+    up = _upsample(grid, _NMS_UPSCALE)
+    # >= its neighbors keeps the symmetric ties that bilinear resampling
+    # produces around a peak; NMS then drops the duplicates
+    pys, pxs = np.nonzero(_peak_mask(up))
     vals = up[pys, pxs]
-    order = np.lexsort((pxs, pys, -vals))
+    groups = np.zeros(len(vals), dtype=np.intp)  # one group: the whole grid
+    order = _priority_order(pxs, pys, groups, vals)
     points = np.stack([pxs, pys], axis=1)[order].astype(np.float64)
-    groups = np.zeros(len(order), dtype=np.intp)  # one group: the whole grid
-    keep = _suppress(points[:, 0], points[:, 1], groups, radius * upscale, max_candidates)
-    positions = (points[keep] + 0.5) / upscale - 0.5  # back to grid scale
+    keep = _suppress(points[:, 0], points[:, 1], groups, radius * _NMS_UPSCALE, max_candidates)
+    positions = (points[keep] + 0.5) / _NMS_UPSCALE - 0.5  # back to grid scale
     return JointCandidates(positions=positions, values=vals[order][keep])
 
 

@@ -3,10 +3,12 @@
 Every trajectory takes every step through a full (2*ceil(b)+1)^2 pixel
 patch, trajectories are merged by rounding, and greedy suppression is a
 plain loop. It is slow but easy to check by eye, so the tests hold the
-production engine to it.
+production engine to it. The NMS baseline's upsampling and peak test are
+held to scipy.ndimage, bit for bit.
 """
 
 import numpy as np
+from scipy import ndimage
 
 CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
@@ -133,3 +135,21 @@ def find_modes_volume(grids, bandwidth, max_candidates):
         is_max[0] = True
         out.append((kept[is_max], kept_vals[is_max]))
     return out
+
+
+def upsample(grid, upscale):
+    """Bilinear upsampling of the NMS baseline at pixel-center aligned
+    points, edge values held outside."""
+    h, w = grid.shape
+    yy, xx = np.mgrid[0 : h * upscale, 0 : w * upscale]
+    coords = np.stack([(yy + 0.5) / upscale - 0.5, (xx + 0.5) / upscale - 0.5])
+    return ndimage.map_coordinates(grid, coords, order=1, mode="nearest")
+
+
+def peak_mask(up):
+    """True where a positive value is at least the max of its 8 neighbors,
+    with 0 outside the grid."""
+    footprint = np.ones((3, 3), dtype=bool)
+    footprint[1, 1] = False
+    neighbor_max = ndimage.maximum_filter(up, footprint=footprint, mode="constant")
+    return (up >= neighbor_max) & (up > 0)

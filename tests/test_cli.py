@@ -3,10 +3,7 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
 import hashlib
 import json
-import os
 import shutil
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -17,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poselift import cli, synth
+import modes_reference as ref
+from poselift import cli, heatmaps, synth
 from poselift.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -594,6 +592,21 @@ class TestInfer:
         assert "unknown config key 'nms-upscale'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nms_writes_the_bytes_of_scipy_ndimage(self, tmp_path, monkeypatch):
+        corruption = ("--distractor-prob", "0.4", "--noise-floor", "0.02")
+        data = synth_dataset(tmp_path / "data", frames=4, seed=3, extra=corruption)
+        model = train_model(data, tmp_path / "model.bin", epochs=1)
+
+        def written(out):
+            assert run(*self.infer_args(data, model, out, ("--generator", "nms"))) == EXIT_OK
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        with_numpy = written(tmp_path / "numpy")
+        monkeypatch.setattr(heatmaps, "_upsample", ref.upsample)
+        monkeypatch.setattr(heatmaps, "_peak_mask", ref.peak_mask)
+        assert len(with_numpy) == 4
+        assert written(tmp_path / "scipy") == with_numpy
+
 
 class TestEval:
     def test_perfect_predictions_score_zero(self, pipeline):
@@ -947,24 +960,6 @@ class TestDataFilesUnderMutation:
         assert code in (EXIT_OK, EXIT_DATA)
         for written in out.glob("*.json*") if out.exists() else ():
             _strict_json(written)
-
-
-def test_import_leaves_scipy_ndimage_out():
-    # `import poselift` loads none of its modules, and scipy.ndimage, which
-    # serves only --generator nms, is imported on its first use
-    code = (
-        "import sys, poselift\n"
-        "print(sorted(m for m in sys.modules if m.startswith('poselift.')))\n"
-        "import poselift.cli\n"
-        "print('scipy.ndimage' in sys.modules)"
-    )
-    src = str(Path(cli.__file__).parents[1])  # a fresh interpreter, this checkout
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert done.stdout.split() == ["[]", "False"]
 
 
 def option_actions(command):

@@ -577,9 +577,10 @@ class TestReferenceEngine:
         grid = rng.integers(0, 3, size=(16, 16)).astype(np.float64)
         grid += render_gaussian((5.0, 9.0), 16) + render_gaussian((11.0, 4.0), 16)
         for limit, upscale in ((4, 2), (40, 1), (400, 4)):
-            got = find_modes_nms(grid, limit, upscale=upscale, radius=1.5)
+            monkeypatch.setattr(hm, "_NMS_UPSCALE", upscale)
+            got = find_modes_nms(grid, limit, radius=1.5)
             monkeypatch.setattr(hm, "_suppress", loop_suppress)
-            want = find_modes_nms(grid, limit, upscale=upscale, radius=1.5)
+            want = find_modes_nms(grid, limit, radius=1.5)
             monkeypatch.undo()
             np.testing.assert_array_equal(got.positions, want.positions)
             np.testing.assert_array_equal(got.values, want.values)
@@ -588,7 +589,7 @@ class TestReferenceEngine:
 class TestFindModesNms:
     def test_single_bump_peak(self):
         grid = render_gaussian((20.0, 11.0), 32)
-        modes = find_modes_nms(grid, 8, upscale=8, radius=3.0)
+        modes = find_modes_nms(grid, 8, radius=3.0)
         assert len(modes) >= 1
         assert np.linalg.norm(modes.positions[0] - (20, 11)) < 0.5
 
@@ -602,7 +603,7 @@ class TestFindModesNms:
         grid = render_gaussian((8.0, 16.0), 32) + 0.9 * render_gaussian(
             (24.0, 16.0), 32
         )
-        modes = find_modes_nms(grid, 8, upscale=8, radius=3.0)
+        modes = find_modes_nms(grid, 8, radius=3.0)
         positions, _ = self._significant(modes)
         assert len(positions) == 2
         assert np.linalg.norm(positions[0] - (8, 16)) < 0.5
@@ -612,24 +613,27 @@ class TestFindModesNms:
         grid = render_gaussian((15.0, 16.0), 32) + 0.9 * render_gaussian(
             (17.0, 16.0), 32
         )
-        modes = find_modes_nms(grid, 8, upscale=8, radius=3.0)
+        modes = find_modes_nms(grid, 8, radius=3.0)
         positions, _ = self._significant(modes)
         assert len(positions) == 1
         # the merged blob peaks between the bumps, nearer the stronger one
         assert abs(positions[0][0] - 15.0) < 1.5
 
-    def test_truncation(self):
+    def test_truncation(self, monkeypatch):
+        monkeypatch.setattr(hm, "_NMS_UPSCALE", 2)
         rng = np.random.default_rng(9)
         grid = rng.uniform(0, 1, size=(32, 32))
-        modes = find_modes_nms(grid, 5, upscale=2, radius=1.0)
+        modes = find_modes_nms(grid, 5, radius=1.0)
         assert len(modes) <= 5
         assert np.all(np.diff(modes.values) <= 1e-12)
 
-    def test_upscale_one(self):
+    def test_upscale_one(self, monkeypatch):
+        monkeypatch.setattr(hm, "_NMS_UPSCALE", 1)
         grid = np.zeros((16, 16))
         grid[5, 9] = 1.0
-        modes = find_modes_nms(grid, 4, upscale=1, radius=2.0)
+        modes = find_modes_nms(grid, 4, radius=2.0)
         np.testing.assert_allclose(modes.positions[0], (9, 5))
+        assert hm._upsample(grid, 1).tobytes() == grid.tobytes()
 
     def test_grid_checked_as_a_volume_is(self):
         grid = render_gaussian((3.0, 4.0), 8)
@@ -639,9 +643,60 @@ class TestFindModesNms:
         with pytest.raises(ValueError, match="all-zero"):
             find_modes_nms(np.zeros((8, 8)), 4, radius=3.0)
 
-    def test_invalid_upscale(self):
-        with pytest.raises(ValueError):
-            find_modes_nms(np.ones((8, 8)), 4, radius=3.0, upscale=0)
+    def test_peaks_rank_as_lexsort(self):
+        # a tie-heavy integer grid: at upscale 1 every peak value repeats,
+        # and at 2 bilinear resampling adds symmetric ties
+        rng = np.random.default_rng(4)
+        grid = rng.integers(0, 4, size=(24, 24)).astype(np.float64)
+        for upscale in (1, 2):
+            up = hm._upsample(grid, upscale)
+            ys, xs = np.nonzero(hm._peak_mask(up))
+            vals = up[ys, xs]
+            assert len(np.unique(vals)) < len(vals) / 4
+            order = hm._priority_order(xs, ys, np.zeros(len(vals), dtype=np.intp), vals)
+            np.testing.assert_array_equal(order, np.lexsort((xs, ys, -vals)))
+
+
+UPSCALES = st.sampled_from([1, 2, 3, 5, 8])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_matches_scipy(grid, upscale):
+    with np.errstate(over="ignore", invalid="ignore"):  # grids near the float64 maximum
+        up = hm._upsample(grid, upscale)
+    assert up.tobytes() == ref.upsample(grid, upscale).tobytes()
+    np.testing.assert_array_equal(hm._peak_mask(up), ref.peak_mask(up))
+
+
+class TestNmsMatchesScipy:
+    """_upsample and _peak_mask give the same bits as scipy.ndimage."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        grid=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.sampled_from([0.0, 1.0]) | FINITE,
+        ),
+        upscale=UPSCALES,
+    )
+    def test_float64_grids(self, grid, upscale):
+        assert_matches_scipy(grid, upscale)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5)])
+    @pytest.mark.parametrize("upscale", [1, 2, 3, 5, 8])
+    def test_small_shapes(self, shape, upscale):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        assert_matches_scipy(rng.uniform(0, 1, shape), upscale)
+
+    @pytest.mark.parametrize("upscale", [1, 2, 3, 5, 8])
+    def test_synth_grids(self, upscale):
+        # volumes hold float32 values, as every volume on disk does
+        corruption = CorruptionSpec(distractor_prob=0.4, noise_floor=0.02)
+        frames = generate_frames(default_skeleton(), default_camera(), 2, corruption, seed=3)
+        for frame in frames:
+            for grid in frame.volume.maps:
+                assert_matches_scipy(grid, upscale)
 
 
 class TestRenderGaussian:
