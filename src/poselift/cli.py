@@ -197,6 +197,15 @@ def _require(args, *names):
             raise UsageError(f"--{name} is required")
 
 
+def _require_out_dir(path):
+    """A single-file output must go to a directory that exists; checked
+    before any input is read, so no work is done for a file that cannot be
+    written."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise UsageError(f"--out {path}: directory {parent} does not exist")
+
+
 def _load_paired(path_a, dim_a, path_b, dim_b):
     """(frames, poses_a, poses_b) of two pose files that pair up frame by
     frame; empty files, differing frame indices or more than one joint
@@ -227,6 +236,7 @@ def cmd_train_lifter(args) -> int:
             input_mode=args.input_mode,
             seed=args.seed,
         )
+    _require_out_dir(args.out)
     _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
     try:
         model, final_loss = train_lifter(poses_2d, poses_3d, config)
@@ -335,6 +345,8 @@ def cmd_eval(args) -> int:
     have_2d = args.pred_2d and args.gt_2d
     if not have_3d and not have_2d:
         raise UsageError("need --pred-3d/--gt-3d and/or --pred-2d/--gt-2d")
+    if args.out:
+        _require_out_dir(args.out)
     report: dict = {}
     if have_3d:
         frames, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)

@@ -26,7 +26,10 @@ class DataFormatError(ValueError):
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a temp file plus rename so failures leave no partial file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except OSError as e:  # named by the target, not by the temp file
+        raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -660,10 +660,13 @@ def find_modes_nms(grid, max_candidates: int, radius: float) -> JointCandidates:
     return JointCandidates(positions=positions, values=vals[order][keep])
 
 
-def render_gaussian(joint, grid_size: int) -> np.ndarray:
-    """Unnormalized unit-sigma Gaussian bump centered on a (x, y)
-    grid-coordinate joint."""
-    joint = np.asarray(joint, dtype=np.float64)
-    ys, xs = np.mgrid[0:grid_size, 0:grid_size]
-    d2 = (xs - joint[0]) ** 2 + (ys - joint[1]) ** 2
-    return np.exp(-d2 / 2.0)
+def render_gaussian(joints, grid_size: int) -> np.ndarray:
+    """Unnormalized unit-sigma Gaussian bumps centered on (..., 2) (x, y)
+    grid-coordinate joints: a (..., G, G) stack, one G x G grid per joint."""
+    joints = np.asarray(joints, dtype=np.float64)
+    cells = np.arange(grid_size)
+    dx2 = (cells - joints[..., 0, None]) ** 2
+    dy2 = (cells - joints[..., 1, None]) ** 2
+    grids = dx2[..., None, :] + dy2[..., :, None]
+    grids /= -2.0  # in place; rounds as -d2 / 2.0 does
+    return np.exp(grids, out=grids)

@@ -8,7 +8,7 @@ rendered as ground-truth heat maps with optional distractor corruption.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class SkeletonSpec:
     rest_directions: np.ndarray  # (M, 3) unit offsets from the parent
     angle_ranges: np.ndarray  # (M, 3) Euler half-range per axis, radians
     angle_centers: np.ndarray  # (M, 3) Euler range center per axis, radians
+    # (joints, their parents) per tree depth from 1 down; set from parents
+    levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.parents)
@@ -57,6 +59,8 @@ class SkeletonSpec:
             not 0 <= p < i for i, p in enumerate(self.parents[1:], 1)
         ):
             raise ValueError("parents must form a tree in topological order")
+        if np.asarray(self.bone_lengths).shape != (m,):
+            raise ValueError("bone_lengths must be (M,)")
         if np.any(np.asarray(self.bone_lengths)[1:] <= 0):
             raise ValueError("bone lengths must be positive")
         if np.asarray(self.rest_directions).shape != (m, 3):
@@ -66,6 +70,12 @@ class SkeletonSpec:
             or np.asarray(self.angle_centers).shape != (m, 3)
         ):
             raise ValueError("angle_ranges and angle_centers must be (M, 3)")
+        depth = np.zeros(m, dtype=int)
+        for j in range(1, m):
+            depth[j] = depth[self.parents[j]] + 1
+        parents = np.array(self.parents)
+        by_depth = (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
+        object.__setattr__(self, "levels", tuple((js, parents[js]) for js in by_depth))
 
     @property
     def num_joints(self) -> int:
@@ -162,35 +172,41 @@ def default_camera(image_size: int = IMAGE_SIZE) -> CameraModel:
     return CameraModel(fx=1150.0, fy=1150.0, cx=image_size / 2, cy=image_size / 2)
 
 
-def _euler_rotation(angles):
-    ax, ay, az = angles
-    cx, sx = np.cos(ax), np.sin(ax)
-    cy, sy = np.cos(ay), np.sin(ay)
-    cz, sz = np.cos(az), np.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+def _euler_rotations(angles) -> np.ndarray:
+    """(M, 3, 3) rotations rz @ ry @ rx of (M, 3) Euler angles (x, y, z)."""
+    c, s = np.cos(angles), np.sin(angles)
+    rx, ry, rz = (np.zeros((len(angles), 3, 3)) for _ in range(3))
+    rx[:, 0, 0] = ry[:, 1, 1] = rz[:, 2, 2] = 1.0
+    rx[:, 1, 1] = rx[:, 2, 2] = c[:, 0]
+    rx[:, 2, 1], rx[:, 1, 2] = s[:, 0], -s[:, 0]
+    ry[:, 0, 0] = ry[:, 2, 2] = c[:, 1]
+    ry[:, 0, 2], ry[:, 2, 0] = s[:, 1], -s[:, 1]
+    rz[:, 0, 0] = rz[:, 1, 1] = c[:, 2]
+    rz[:, 1, 0], rz[:, 0, 1] = s[:, 2], -s[:, 2]
+    # kept on @: a stacked matmul gives the bits of one 3x3 @ at a time,
+    # while hand-written products round apart from BLAS's fused multiply-adds
     return rz @ ry @ rx
 
 
 def sample_pose(spec: SkeletonSpec, rng) -> np.ndarray:
-    """Forward kinematics with uniformly sampled joint angles; root at origin."""
-    m = spec.num_joints
+    """Forward kinematics with uniformly sampled joint angles; root at origin.
+
+    The tree is walked one depth level at a time: each level composes its
+    joints' rotations with their parents' and places them in one stacked
+    product each.
+    """
     angles = rng.uniform(
         spec.angle_centers - spec.angle_ranges,
         spec.angle_centers + spec.angle_ranges,
     )
-    positions = np.zeros((m, 3))
-    rotations = [np.eye(3)] * m
-    for j in range(m):
-        local = _euler_rotation(angles[j])
-        if spec.parents[j] == -1:
-            rotations[j] = local
-            continue
-        parent = spec.parents[j]
-        rotations[j] = rotations[parent] @ local
-        offset = spec.bone_lengths[j] * spec.rest_directions[j]
-        positions[j] = positions[parent] + rotations[j] @ offset
+    rotations = _euler_rotations(angles)
+    offsets = np.asarray(spec.bone_lengths)[:, None] * np.asarray(spec.rest_directions)
+    positions = np.zeros((spec.num_joints, 3))
+    for joints, parents in spec.levels:
+        turned = rotations[parents] @ rotations[joints]
+        rotations[joints] = turned
+        moved = turned @ offsets[joints, :, None]
+        positions[joints] = positions[parents] + moved[:, :, 0]
     return positions
 
 
@@ -217,20 +233,26 @@ def make_frame(
     )
 
     grid_joints = image_to_grid(pose_2d, box, grid_size)
-    maps = np.empty((len(pose_3d), grid_size, grid_size))
-    for i, joint in enumerate(grid_joints):
-        grid = render_gaussian(joint, grid_size)
+    # the draws keep their per-joint order: the distractor test, a hit's
+    # angle and radius, then the joint's noise block
+    hits, angles, radii = [], [], []
+    maps_shape = (len(pose_3d), grid_size, grid_size)
+    noise = np.empty(maps_shape) if corruption.noise_floor > 0 else None
+    for i in range(len(pose_3d)):
         if rng.random() < corruption.distractor_prob:
-            angle = rng.uniform(0, 2 * np.pi)
-            radius = rng.uniform(corruption.offset_min, corruption.offset_max)
-            distractor = joint + radius * np.array([np.cos(angle), np.sin(angle)])
-            distractor = np.clip(distractor, 0, grid_size - 1)
-            grid = grid + corruption.strength * render_gaussian(distractor, grid_size)
-        if corruption.noise_floor > 0:
-            grid = grid + rng.uniform(
-                0, corruption.noise_floor, size=grid.shape
-            )
-        maps[i] = grid
+            hits.append(i)
+            angles.append(rng.uniform(0, 2 * np.pi))
+            radii.append(rng.uniform(corruption.offset_min, corruption.offset_max))
+        if noise is not None:
+            noise[i] = rng.uniform(0, corruption.noise_floor, size=noise.shape[1:])
+    maps = render_gaussian(grid_joints, grid_size)
+    if hits:
+        angles = np.array(angles)
+        offsets = np.array(radii)[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+        distractors = np.clip(grid_joints[hits] + offsets, 0, grid_size - 1)
+        maps[hits] += corruption.strength * render_gaussian(distractors, grid_size)
+    if noise is not None:
+        maps += noise
     # store at file precision so volumes round-trip bit-exactly
     maps = np.clip(maps, 0, None).astype(np.float32).astype(np.float64)
     return HeatMapVolume(maps=maps, box=box), pose_2d, pose_3d

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import modes_reference as ref
+import synth_reference
 from poselift import cli, heatmaps, synth
 from poselift.cli import (
     EXIT_DATA,
@@ -142,6 +143,22 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_writes_the_bytes_of_the_per_joint_sampler(self, tmp_path, monkeypatch):
+        corruption = ("--distractor-prob", "0.4", "--noise-floor", "0.02")
+
+        def written(out):
+            synth_dataset(out, frames=4, seed=3, extra=corruption)
+            return {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()
+            }
+
+        batched = written(tmp_path / "batched")
+        monkeypatch.setattr(synth, "sample_pose", synth_reference.sample_pose)
+        monkeypatch.setattr(synth, "make_frame", synth_reference.make_frame)
+        assert len(batched) == 9  # 4 volumes, manifest, 2 pose files, camera, provenance
+        assert written(tmp_path / "per_joint") == batched
+
     def test_memory_does_not_grow_with_frames(self, tmp_path):
         # volumes are written as they are made: 56 more frames would hold
         # 56 more 139 kB volumes if synth kept them until the end
@@ -189,6 +206,27 @@ class TestTrainLifter:
         assert code == EXIT_USAGE
         assert_usage_error_names(capsys.readouterr().err, flags)
         assert not out.exists()
+
+    def test_out_in_missing_directory_is_refused_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def train_lifter(*args):
+            raise AssertionError("trained for an output that cannot be written")
+
+        monkeypatch.setattr(cli, "train_lifter", train_lifter)
+        out = tmp_path / "nodir" / "model.bin"
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(tmp_path / "missing.jsonl"),
+            "--poses-3d", str(tmp_path / "missing3.jsonl"),
+            "--out", str(out),
+            "--epochs", "50",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: directory {out.parent} does not exist\n"
+        )
+        assert not out.parent.exists()
 
     def test_byte_identical_model_files(self, tmp_path):
         data = synth_dataset(tmp_path / "data", frames=5)
@@ -658,6 +696,15 @@ class TestEval:
         assert code == EXIT_OK
         rep = json.loads(report.read_text())
         assert rep["mpjpe"]["mean"] == pytest.approx(10.0)  # errors 0, 30, 0
+
+    def test_out_in_missing_directory_is_refused_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "report.json"
+        missing = str(tmp_path / "missing.jsonl")  # a read would exit 2
+        code = run("eval", "--pred-3d", missing, "--gt-3d", missing, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: directory {out.parent} does not exist\n"
+        )
 
     def test_frame_mismatch(self, tmp_path):
         save_poses(tmp_path / "a.jsonl", [np.zeros((3, 3))], frames=[0])

@@ -303,6 +303,13 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "nodir" / "file.bin"
+        with pytest.raises(FileNotFoundError) as err:
+            atomic_write_bytes(path, b"data")
+        assert err.value.filename == str(path)
+        assert str(err.value).endswith(f"No such file or directory: '{path}'")
+
 
 # one valid file of each kind, as (writer, loader); the model is tiny but
 # well-formed: 2 joints, full input layout, one hidden layer of 3

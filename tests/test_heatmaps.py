@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import modes_reference as ref
+import synth_reference
 import poselift.heatmaps as hm
 from poselift.geometry import BoundingBox
 from poselift.heatmaps import (
@@ -712,3 +713,20 @@ class TestRenderGaussian:
         grid = render_gaussian((12.3, 6.8), 32)
         y, x = np.unravel_index(np.argmax(grid), grid.shape)
         assert (x, y) == (12, 7)
+
+    def test_one_joint_gives_the_per_joint_grid(self):
+        for joint in [(20.0, 11.0), (3.2, -4.6), (0.0, 0.0)]:
+            for grid_size in (1, 8, 32):
+                np.testing.assert_array_equal(
+                    render_gaussian(joint, grid_size),
+                    synth_reference.render_gaussian(joint, grid_size),
+                )
+
+    @pytest.mark.parametrize("count", [0, 1, 17])
+    @pytest.mark.parametrize("grid_size", [1, 8, 32])
+    def test_joint_stack_is_the_stack_of_grids(self, count, grid_size):
+        joints = np.random.default_rng(count).uniform(-2, grid_size + 2, (count, 2))
+        grids = render_gaussian(joints, grid_size)
+        assert grids.shape == (count, grid_size, grid_size)
+        for joint, grid in zip(joints, grids):
+            np.testing.assert_array_equal(grid, render_gaussian(joint, grid_size))

@@ -7,7 +7,11 @@ determinism and self-consistency invariants.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import synth_reference as ref
 from poselift import synth
 from poselift.fileio import load_volume, save_volume
 from poselift.geometry import image_to_crop, image_to_grid, error_2d
@@ -58,6 +62,17 @@ class TestSkeletonSpec:
                 rest_directions=np.zeros((2, 3)),
                 angle_ranges=np.zeros((2, 3)),
                 angle_centers=np.zeros((2, 3)),
+            )
+
+    def test_rejects_bone_lengths_of_another_shape(self):
+        # one length would broadcast over every bone of the batched kinematics
+        with pytest.raises(ValueError, match=r"bone_lengths must be \(M,\)"):
+            SkeletonSpec(
+                parents=(-1, 0, 1),
+                bone_lengths=np.array([5.0]),
+                rest_directions=np.zeros((3, 3)),
+                angle_ranges=np.zeros((3, 3)),
+                angle_centers=np.zeros((3, 3)),
             )
 
     def test_corruption_validation(self):
@@ -121,6 +136,77 @@ class TestSamplePose:
     def test_root_at_origin(self):
         pose = sample_pose(default_skeleton(), np.random.default_rng(1))
         np.testing.assert_array_equal(pose[0], (0, 0, 0))
+
+
+@st.composite
+def skeletons(draw):
+    """Trees of 1 to 20 joints: chains, stars or random topological
+    parents, with zero, narrow or wide (up to 3 rad) angle ranges."""
+    m = draw(st.integers(1, 20))
+    shape = draw(st.sampled_from(["chain", "star", "random"]))
+
+    def parent(j):
+        if shape == "chain":
+            return j - 1
+        return 0 if shape == "star" else draw(st.integers(0, j - 1))
+
+    parents = [-1] + [parent(j) for j in range(1, m)]
+    half_range = draw(st.sampled_from([0.0, 0.3, 3.0]))
+    lengths = draw(arrays(np.float64, m, elements=st.floats(1.0, 1000.0)))
+    lengths[0] = 0.0
+    return SkeletonSpec(
+        parents=tuple(parents),
+        bone_lengths=lengths,
+        rest_directions=draw(arrays(np.float64, (m, 3), elements=st.floats(-1, 1))),
+        angle_ranges=draw(
+            arrays(np.float64, (m, 3), elements=st.floats(0.0, half_range))
+        ),
+        angle_centers=draw(arrays(np.float64, (m, 3), elements=st.floats(-3, 3))),
+    )
+
+
+class TestMatchesReference:
+    """The level-batched kinematics and the batched rendering give the bits,
+    and leave the random-number state, of the per-joint reference in
+    tests/synth_reference.py."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(spec=skeletons(), seed=st.integers(0, 2**32 - 1))
+    def test_sample_pose(self, spec, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                sample_pose(spec, rng), ref.sample_pose(spec, ref_rng)
+            )
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sample_pose_default_skeleton(self):
+        spec = default_skeleton()
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(500):
+            np.testing.assert_array_equal(
+                sample_pose(spec, rng), ref.sample_pose(spec, ref_rng)
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("grid_size", [1, 8, 32])
+    @pytest.mark.parametrize("noise_floor", [0.0, 0.02])
+    @pytest.mark.parametrize("distractor_prob", [0.0, 0.5, 1.0])
+    def test_make_frame(self, distractor_prob, noise_floor, grid_size):
+        camera = default_camera()
+        corruption = CorruptionSpec(
+            distractor_prob=distractor_prob, noise_floor=noise_floor
+        )
+        for seed in range(10):
+            pose, _ = placed_pose(seed)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = make_frame(pose, camera, corruption, rng, grid_size)
+            want = ref.make_frame(pose, camera, corruption, ref_rng, grid_size)
+            np.testing.assert_array_equal(got[0].maps, want[0].maps)
+            assert got[0].box == want[0].box
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def placed_pose(seed=0, depth_range=(3000.0, 6000.0)):
