@@ -16,6 +16,21 @@ from .geometry import BoundingBox
 
 CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
+# A window wider than 31 * sqrt(2) covers a whole 32 x 32 grid; at 64 a cold
+# 17-joint frame of that size takes about 6 s and 0.7 GB.
+MAX_BANDWIDTH = 64.0
+
+
+def check_extraction(bandwidth, max_candidates) -> None:
+    """ValueError unless bandwidth is in (0, MAX_BANDWIDTH] with a square
+    above 0 and max_candidates is at least 1: the rules of both candidate
+    generators, whether the bandwidth is a window or a suppression radius."""
+    # NaN fails this too; a bandwidth whose square underflows to 0 has an
+    # empty window
+    if not (0 < bandwidth <= MAX_BANDWIDTH and bandwidth * bandwidth > 0):
+        raise ValueError(f"bandwidth must be in (0, {MAX_BANDWIDTH:g}] with a square above 0")
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be >= 1")
 
 
 def _checked_maps(maps) -> np.ndarray:
@@ -118,14 +133,6 @@ _MASK_SLOTS = 1 << 20  # mask ids per base pixel in a state key
 # point. The rounding sits far below the convergence threshold, but it
 # does move points by up to 5e-9.
 _ROUND_DECIMALS = 8
-
-
-def _round(values):
-    """np.round(values, _ROUND_DECIMALS), in place."""
-    scale = 10.0**_ROUND_DECIMALS
-    np.multiply(values, scale, out=values)
-    np.rint(values, out=values)
-    return np.divide(values, scale, out=values)
 
 
 def _square_range(o, lo, hi):
@@ -421,7 +428,7 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
         key = cells.take(stop) * _MASK_SLOTS + mask_ids.take(stop)
         for column, values in zip(record, (key, tx.take(stop), ty.take(stop))):
             column.append(values)
-        x, y = _round(tx.take(go)), _round(ty.take(go))
+        x, y = (np.round(v, _ROUND_DECIMALS, out=v) for v in (tx.take(go), ty.take(go)))
         base = base.take(go)
         if len(go) == 0:
             break
@@ -431,7 +438,7 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
             column.append(values)
     keys, tx, ty = (np.concatenate(c) for c in record)
     first = _first_occurrences(keys)
-    x, y = _round(tx[first]), _round(ty[first])
+    x, y = (np.round(v, _ROUND_DECIMALS, out=v) for v in (tx[first], ty[first]))
     joints = keys[first] // (_MASK_SLOTS * sums.height * sums.width)
     bx, by, mask_ids = masks.states(x, y)
     values = sums.step(sums.cells(joints, bx, by), bx, by, mask_ids)[2]
@@ -566,14 +573,10 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     with probes at radius 0.5) are dropped, except the strongest point.
     The joints are independent; batching them only amortizes the
     per-iteration overhead. The grids are checked, and negative values
-    clipped, as HeatMapVolume does, but they need not be square.
+    clipped, as HeatMapVolume does, but they need not be square; bandwidth
+    and max_candidates are checked by check_extraction.
     """
-    # NaN fails this too; a bandwidth whose square underflows to 0 has an
-    # empty window
-    if not (bandwidth > 0 and bandwidth * bandwidth > 0):
-        raise ValueError("bandwidth must be positive and have a square above 0")
-    if max_candidates < 1:
-        raise ValueError("max_candidates must be >= 1")
+    check_extraction(bandwidth, max_candidates)
     grids = _checked_maps(grids)
     m = grids.shape[0]
 
@@ -644,8 +647,10 @@ def find_modes_nms(grid, max_candidates: int, radius: float) -> JointCandidates:
     The grid is bilinearly upsampled by 8, local maxima over
     8-neighborhoods are collected, and greedy non-maximum suppression with
     the scaled radius keeps the strongest peaks. Output coordinates are
-    mapped back to the original grid scale.
+    mapped back to the original grid scale. radius and max_candidates are
+    checked as find_modes_volume checks its bandwidth and max_candidates.
     """
+    check_extraction(radius, max_candidates)
     grid = _checked_maps([grid])[0]
     up = _upsample(grid, _NMS_UPSCALE)
     # >= its neighbors keeps the symmetric ties that bilinear resampling

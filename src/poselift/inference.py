@@ -21,9 +21,9 @@ from .geometry import (
     project_orthographic,
     project_perspective,
 )
-from .heatmaps import HeatMapVolume, find_modes_nms, find_modes_volume
+from .heatmaps import HeatMapVolume, check_extraction, find_modes_nms, find_modes_volume
 from .lifter import LifterModel
-from .nbest import n_best_poses
+from .nbest import check_pose_count, n_best_poses
 
 PRIOR_PERSPECTIVE = "perspective"
 PRIOR_ORTHOGRAPHIC = "orthographic"
@@ -31,6 +31,16 @@ GENERATOR_MEAN_SHIFT = "mean-shift"
 GENERATOR_NMS = "nms"
 PRIOR_MODES = (PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC)
 GENERATORS = (GENERATOR_MEAN_SHIFT, GENERATOR_NMS)
+
+
+def check_prior(mode: str, strength: float) -> None:
+    """ValueError unless mode is one of PRIOR_MODES and strength is finite
+    and >= 0, so that every prior is >= 0 or +inf."""
+    if mode not in PRIOR_MODES:
+        raise ValueError(f"unknown prior mode {mode!r}")
+    # written so that NaN fails it too
+    if not 0 <= strength < np.inf:
+        raise ValueError("prior strength must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -42,16 +52,12 @@ class InferenceConfig:
     generator: str = GENERATOR_MEAN_SHIFT
 
     def __post_init__(self):
-        # written so that NaN fails them too
-        if not 0 <= self.prior_strength < np.inf:
-            raise ValueError("prior strength must be finite and >= 0")
-        # a bandwidth whose square underflows to 0 has an empty window
-        if not (0 < self.bandwidth < np.inf and self.bandwidth * self.bandwidth > 0):
-            raise ValueError("bandwidth must be finite, positive, with a square above 0")
-        if self.num_candidates < 1:
-            raise ValueError("need at least one candidate")
-        if self.prior_mode not in PRIOR_MODES:
-            raise ValueError(f"unknown prior mode {self.prior_mode!r}")
+        # each rule's owner is the function that relies on it; only the
+        # generator is checked here, as its one user, extract_candidates,
+        # takes this config
+        check_prior(self.prior_mode, self.prior_strength)
+        check_pose_count(self.num_candidates)
+        check_extraction(self.bandwidth, self.num_candidates)
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown candidate generator {self.generator!r}")
 
@@ -89,8 +95,10 @@ def consistency_priors(
     candidate and the normalized re-projection. Candidates whose absolute
     lift has a joint at non-positive depth, whose re-projection overflows,
     or whose pose or re-projection cannot be normalized, get +inf. Raises
-    ValueError for non-finite lifts.
+    ValueError for non-finite lifts, and for a mode or strength that
+    check_prior refuses.
     """
+    check_prior(mode, strength)
     poses_2d = np.asarray(poses_2d, dtype=np.float64)
     lifted = np.asarray(lifted, dtype=np.float64)
     if mode == PRIOR_PERSPECTIVE:

@@ -3,7 +3,11 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
 import hashlib
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -614,6 +618,37 @@ class TestInfer:
         capsys.readouterr()  # the fixture's own output
         assert run(*self.infer_args(data, model, out, flags)) == EXIT_USAGE
         assert_usage_error_names(capsys.readouterr().err, flags)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [pytest.param(flag, value, bound, id=f"{flag}={value}") for flag, values, bound in [
+            ("--bandwidth", ["0", "-1", "nan", "inf", "1e300", "1e6", repr(2.0**-538),
+                             "64.0000001"], "(0, 64]"),
+            ("--num-candidates", ["0", "8193", str(10**12)], "[1, 8192]"),
+            ("--prior-strength", ["nan", "inf", "-1"], ">= 0"),
+            ("--prior", ["bogus"], "invalid choice"),
+        ] for value in values],
+    )
+    def test_hostile_values_exit_1_in_a_bounded_process(self, small_pipeline, tmp_path, flag, value, bound):
+        """Each value is a usage error: one error line, no traceback and no
+        output directory, from a process held to 4 GB of address space and
+        30 s (a value past the bounds would exhaust one or the other on a
+        real frame)."""
+        data, out = small_pipeline, tmp_path / "out"
+        env = dict(os.environ)  # a fresh interpreter, this checkout
+        package = Path(cli.__file__).parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package), env.get("PYTHONPATH")]))
+        limit = 4 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "poselift.cli",
+             *self.infer_args(data, data / "model.bin", out, (flag, value))],
+            capture_output=True, text=True, env=env, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == EXIT_USAGE, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and bound in line
         assert not out.exists()
 
     def test_nms_upscale_is_not_an_option(self, pipeline, capsys):

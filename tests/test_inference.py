@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from poselift.geometry import BoundingBox, CameraModel, grid_to_image
-from poselift.heatmaps import HeatMapVolume, render_gaussian
+from poselift.heatmaps import (
+    HeatMapVolume,
+    _window_masks,
+    find_modes_nms,
+    find_modes_volume,
+    render_gaussian,
+)
 from poselift.inference import (
     GENERATOR_NMS,
     PRIOR_ORTHOGRAPHIC,
@@ -20,6 +26,7 @@ from poselift.inference import (
     infer,
 )
 from poselift.lifter import LifterModel
+from poselift.nbest import n_best_poses
 
 
 def constant_lifter(pose_3d, mean_offset=(0.0, 0.0, 4000.0)):
@@ -168,6 +175,87 @@ class TestConfig:
         with pytest.raises(ValueError):
             InferenceConfig(**{field: value})
 
+    def test_pose_count_is_named_for_the_option(self):
+        with pytest.raises(ValueError, match=r"^number of candidate poses must be in \[1, 8192\]$"):
+            InferenceConfig(num_candidates=0)
+
+
+GRID = render_gaussian((3.2, 4.6), 8)
+
+
+def _extract(bandwidth=3.0, max_candidates=4):
+    try:
+        return find_modes_volume(GRID[None], bandwidth, max_candidates)
+    finally:
+        _window_masks.cache_clear()  # a wide window's catalog is large
+
+
+def _priors_at(mode, strength):
+    model = constant_lifter(np.random.default_rng(0).normal(0, 200, (3, 3)))
+    pose = np.array([(400.0, 420.0), (520.0, 400.0), (470.0, 560.0)])
+    return consistency_priors(pose[None], model.lift(pose)[None], model, mode, strength, CAMERA)
+
+
+# Each rule and the functions that rely on it; InferenceConfig checks
+# every rule once for the run it configures.
+ENTRY_POINTS = {
+    "bandwidth": {
+        "config": lambda v: InferenceConfig(bandwidth=v),
+        "find_modes_volume": lambda v: _extract(bandwidth=v),
+        "find_modes_nms": lambda v: find_modes_nms(GRID, 4, radius=v),
+    },
+    "max_candidates": {  # InferenceConfig passes its pose count, checked below
+        "find_modes_volume": lambda v: _extract(max_candidates=v),
+        "find_modes_nms": lambda v: find_modes_nms(GRID, v, radius=3.0),
+    },
+    "pose_count": {
+        "config": lambda v: InferenceConfig(num_candidates=v),
+        # a one-pose product, which an unchecked n returns at once
+        "n_best_poses": lambda v: n_best_poses([[1.0]], v),
+    },
+    "strength": {
+        "config": lambda v: InferenceConfig(prior_strength=v),
+        "consistency_priors": lambda v: _priors_at(PRIOR_ORTHOGRAPHIC, v),
+    },
+    "mode": {
+        "config": lambda v: InferenceConfig(prior_mode=v),
+        "consistency_priors": lambda v: _priors_at(v, 1.0),
+    },
+}
+REFUSED = {
+    "bandwidth": [0.0, -1.0, np.nan, np.inf, 1e300, 1e6, 2.0**-538, 64.0000001],
+    "max_candidates": [0],
+    "pose_count": [0, 8193, 10**12],
+    "strength": [np.nan, np.inf, -1.0],
+    "mode": ["bogus"],
+}
+ACCEPTED = {
+    "bandwidth": [2.0**-537, 64.0],  # 2**-537 squared is the least positive float
+    "max_candidates": [1],
+    "pose_count": [1, 8192],
+    "strength": [0.0],
+    "mode": [PRIOR_PERSPECTIVE, PRIOR_ORTHOGRAPHIC],
+}
+
+
+def _cases(table):
+    return [
+        pytest.param(call, value, id=f"{rule}-{name}-{value!r}")
+        for rule, values in table.items()
+        for name, call in ENTRY_POINTS[rule].items()
+        for value in values
+    ]
+
+
+@pytest.mark.parametrize("call, value", _cases(REFUSED))
+def test_every_entry_point_refuses_what_its_rule_refuses(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", _cases(ACCEPTED))
+def test_every_entry_point_accepts_the_bounds(call, value):
+    call(value)
 
 
 JOINTS = np.array([(8.0, 9.0), (22.0, 10.0), (16.0, 24.0)])
