@@ -392,8 +392,6 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     _require(args, "out-dir")
-    if args.frames < 1:
-        raise UsageError("--frames must be >= 1")
     try:
         check_grid_size(args.grid_size)
     except ValueError as e:

@@ -6,6 +6,7 @@ float arrays in millimeters in the camera coordinate system.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,18 @@ DEGENERATE_TOL = 1e-12
 
 # side, in pixels, of the square crop that 2D errors are measured on
 CROP_SIZE = 256
+
+
+def check_count(value, name: str, low: int = 1, high: int | None = None) -> None:
+    """ValueError, naming the count, unless value is an integer (numpy's
+    included) in [low, high], or at least low when high is None: the one
+    rule for every count and size the library takes."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None and not low <= value:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}]")
 
 
 class DegeneratePoseError(ValueError):
@@ -139,8 +152,7 @@ def mpjpe(gt, est, root_index: int = 0) -> float:
     est = as_poses(est, 3)
     if gt.shape != est.shape:
         raise ValueError("pose shapes differ")
-    if not 0 <= root_index < len(gt):
-        raise ValueError("root index out of range")
+    check_count(root_index, "root index", low=0, high=len(gt) - 1)
     d = (gt - gt[root_index]) - (est - est[root_index])
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
@@ -187,8 +199,7 @@ def grid_to_image(points, box: BoundingBox, grid_size: int):
     Pixel-center convention: grid coordinate p covers the image span
     [origin + p*cell, origin + (p+1)*cell] and maps to its center.
     """
-    if grid_size <= 0:
-        raise ValueError("grid size must be positive")
+    check_count(grid_size, "grid size")
     points = np.asarray(points, dtype=np.float64)
     cell = box.side / grid_size
     origin = np.array([box.origin_x, box.origin_y])
@@ -197,8 +208,7 @@ def grid_to_image(points, box: BoundingBox, grid_size: int):
 
 def image_to_grid(points, box: BoundingBox, grid_size: int):
     """Inverse of grid_to_image."""
-    if grid_size <= 0:
-        raise ValueError("grid size must be positive")
+    check_count(grid_size, "grid size")
     points = np.asarray(points, dtype=np.float64)
     cell = box.side / grid_size
     origin = np.array([box.origin_x, box.origin_y])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, check_count
 
 CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
@@ -23,14 +23,13 @@ MAX_BANDWIDTH = 64.0
 
 def check_extraction(bandwidth, max_candidates) -> None:
     """ValueError unless bandwidth is in (0, MAX_BANDWIDTH] with a square
-    above 0 and max_candidates is at least 1: the rules of both candidate
+    above 0 and max_candidates is an integer >= 1: the rules of both candidate
     generators, whether the bandwidth is a window or a suppression radius."""
     # NaN fails this too; a bandwidth whose square underflows to 0 has an
     # empty window
     if not (0 < bandwidth <= MAX_BANDWIDTH and bandwidth * bandwidth > 0):
         raise ValueError(f"bandwidth must be in (0, {MAX_BANDWIDTH:g}] with a square above 0")
-    if max_candidates < 1:
-        raise ValueError("max_candidates must be >= 1")
+    check_count(max_candidates, "max_candidates")
 
 
 def _checked_maps(maps) -> np.ndarray:

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .fileio import DataFormatError, atomic_write_bytes
-from .geometry import DegeneratePoseError, as_poses, normalize_poses
+from .geometry import DegeneratePoseError, as_poses, check_count, normalize_poses
 
 MODEL_MAGIC = b"PLFT"
 MODEL_VERSION = 1
@@ -120,12 +120,10 @@ class LifterTrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise std must be finite and non-negative")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if any(width < 1 for width in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
+        check_count(self.epochs, "epochs")
+        check_count(self.batch_size, "batch_size")
+        for width in self.hidden_sizes:
+            check_count(width, "each of hidden_sizes")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
 

@@ -30,6 +30,8 @@ from operator import add
 
 import numpy as np
 
+from .geometry import check_count
+
 # Each pose costs about 20 us and a heap entry: through infer, 8,192 poses
 # take about 0.3 s and 120 MB on a 17-joint frame.
 MAX_POSES = 8192
@@ -44,9 +46,8 @@ class PoseAssignment:
 
 
 def check_pose_count(n) -> None:
-    """ValueError unless n is in [1, MAX_POSES]."""
-    if not 1 <= n <= MAX_POSES:
-        raise ValueError(f"number of candidate poses must be in [1, {MAX_POSES}]")
+    """ValueError unless n is an integer in [1, MAX_POSES]."""
+    check_count(n, "number of candidate poses", high=MAX_POSES)
 
 
 def n_best_poses(values, n: int) -> list[PoseAssignment]:

@@ -7,7 +7,6 @@ rendered as ground-truth heat maps with optional distractor corruption.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .geometry import (
     BoundingBox,
     CameraModel,
+    check_count,
     error_2d,
     image_to_crop,
     image_to_grid,
@@ -167,8 +167,7 @@ def default_skeleton() -> SkeletonSpec:
 
 def default_camera(image_size: int = IMAGE_SIZE) -> CameraModel:
     # the grid size's bounds; by 1e20 the principal point swamps a pose's extent
-    if not 1 <= image_size < 2**32:
-        raise ValueError("image size must be in [1, 2**32 - 1]")
+    check_count(image_size, "image size", high=2**32 - 1)
     return CameraModel(fx=1150.0, fy=1150.0, cx=image_size / 2, cy=image_size / 2)
 
 
@@ -293,8 +292,7 @@ def check_depth_range(depth_range, spec: SkeletonSpec | None = None) -> None:
 def check_grid_size(grid_size) -> None:
     """ValueError unless grid_size is an integer in [1, 2**32 - 1]: a volume
     file's header holds it as uint32."""
-    if not (isinstance(grid_size, numbers.Integral) and 1 <= grid_size < 2**32):
-        raise ValueError("grid size must be an integer in [1, 2**32 - 1]")
+    check_count(grid_size, "grid size", high=2**32 - 1)
 
 
 def place_subject(pose_centered, camera: CameraModel, rng, depth_range=DEPTH_RANGE):
@@ -318,9 +316,10 @@ class SyntheticFrame:
 
 
 def _frames(spec, camera, count, corruption, seed, depth_range, grid_size):
-    """generate_frames' frames, made one at a time; the grid size, and the
-    depth range against the skeleton's reach, are checked before any pose
-    is sampled."""
+    """generate_frames' frames, made one at a time; the frame count, the
+    grid size, and the depth range against the skeleton's reach, are checked
+    before any pose is sampled."""
+    check_count(count, "frame count")
     check_grid_size(grid_size)
     check_depth_range(depth_range, spec)
     rng = np.random.default_rng(seed)
@@ -392,8 +391,11 @@ def run_benchmark(
     delta against the named baseline config.
 
     Returns (report, per_frame): the report holds only JSON values, and
-    per_frame maps each config name to evaluate_frames' arrays.
+    per_frame maps each config name to evaluate_frames' arrays. A baseline
+    that names no config is refused before any training.
     """
+    if baseline is not None and baseline not in configs:
+        raise ValueError(f"baseline {baseline!r} is not one of the configs")
     rng = np.random.default_rng(seed)
     train_seed, test_seed, lifter_seed, boot_seed = rng.integers(0, 2**31, size=4)
 
@@ -427,7 +429,7 @@ def run_benchmark(
             "error_2d_mean": float(metrics["error_2d"].mean()),
         }
 
-    if baseline is not None and baseline in per_frame:
+    if baseline is not None:
         boot_rng = np.random.default_rng(int(boot_seed))
         report["deltas_vs_baseline"] = {}
         for name, metrics in per_frame.items():

@@ -7,8 +7,11 @@ checked against direct recomputation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poselift.geometry import BoundingBox, CameraModel, grid_to_image
+import infer_reference
+from poselift.geometry import BoundingBox, CameraModel, grid_to_image, project_perspective
 from poselift.heatmaps import (
     HeatMapVolume,
     _window_masks,
@@ -18,6 +21,7 @@ from poselift.heatmaps import (
 )
 from poselift.inference import (
     GENERATOR_NMS,
+    PRIOR_MODES,
     PRIOR_ORTHOGRAPHIC,
     PRIOR_PERSPECTIVE,
     InferenceConfig,
@@ -25,8 +29,23 @@ from poselift.inference import (
     extract_candidates,
     infer,
 )
-from poselift.lifter import LifterModel
+from poselift.lifter import (
+    INPUT_FULL,
+    INPUT_MODES,
+    LifterModel,
+    LifterTrainConfig,
+    init_parameters,
+    train_lifter,
+)
 from poselift.nbest import n_best_poses
+from poselift.synth import (
+    CorruptionSpec,
+    default_camera,
+    default_skeleton,
+    generate_frames,
+    place_subject,
+    sample_pose,
+)
 
 
 def constant_lifter(pose_3d, mean_offset=(0.0, 0.0, 4000.0)):
@@ -364,3 +383,99 @@ class TestInfer:
         result = infer(self.volume, self.model, config, CAMERA)
         scores = [c.score for c in result.candidates]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+
+def assert_matches_reference(volume, model, config, camera, rank=infer_reference.ranked_poses):
+    """infer against tests/infer_reference.py: the same ranked candidate
+    poses and scores, energies within a relative 1e-9, and the same winner
+    wherever the two lowest energies are further apart than that."""
+    got = infer(volume, model, config, camera=camera)
+    values = [c.values for c in extract_candidates(volume, config)]
+    listed = [(a.indices, a.score) for a in n_best_poses(values, config.num_candidates)]
+    ranked, energies, chosen, pose_2d, pose_3d = infer_reference.infer(
+        volume, model, config, camera, rank
+    )
+    assert listed == ranked
+    assert [c.score for c in got.candidates] == [score for _, score in ranked]
+    np.testing.assert_allclose([c.energy for c in got.candidates], energies, rtol=1e-9)
+    lowest = np.sort(energies)[:2]
+    # when every prior failed, all energies are +inf and tie
+    if len(lowest) == 1 or np.isfinite(lowest[0]) and lowest[1] - lowest[0] > 1e-9 * abs(lowest[0]):
+        assert got.chosen_index == chosen
+        np.testing.assert_allclose(got.pose_2d, pose_2d, rtol=1e-12)
+        np.testing.assert_allclose(
+            got.pose_3d, pose_3d, rtol=1e-9, atol=1e-9 * np.abs(pose_3d).max()
+        )
+
+
+@st.composite
+def small_frames(draw):
+    """A volume of 3-5 joints on an 8-16 pixel grid, each joint one to four
+    bumps on a 2^-20 lattice (so that both extraction engines add its window
+    sums exactly), a random lifter of one or two small hidden layers whose
+    lifts span a few hundred mm, and an inference config. Each list of
+    choices starts with the one that exercises the most."""
+    m, size = draw(st.integers(3, 5)), draw(st.integers(8, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = []
+    for _ in range(m):
+        k = rng.integers(1, 5)
+        grid = sum(
+            h * render_gaussian((x, y), size)
+            for x, y, h in zip(*rng.uniform(0, size - 1, (2, k)), rng.choice([0.25, 0.5, 1.0], k))
+        )
+        maps.append(np.round(grid * 2**20) / 2**20)
+    volume = HeatMapVolume(
+        maps=np.stack(maps), box=BoundingBox(origin_x=300.0, origin_y=250.0, side=256.0)
+    )
+    input_mode = draw(st.sampled_from(INPUT_MODES))
+    hidden = draw(st.sampled_from([(8,), (6, 5)]))
+    input_dim = 2 * m + (3 if input_mode == INPUT_FULL else 0)
+    weights, biases = init_parameters((input_dim,) + hidden + (3 * m,), rng)
+    weights[-1] *= 300.0
+    model = LifterModel(
+        num_joints=m, weights=tuple(weights), biases=tuple(biases),
+        # at 100 mm many lifts put a joint behind the camera
+        mean_offset=np.array([0.0, 0.0, draw(st.sampled_from([100.0, 4000.0]))]),
+        input_mode=input_mode,
+    )
+    config = InferenceConfig(
+        prior_strength=draw(st.sampled_from([1.0, 2.5, 0.0])),
+        bandwidth=draw(st.sampled_from([1.5, 1.0, 2.0, 3.0])),
+        num_candidates=draw(st.sampled_from([64, 6, 1])),
+        prior_mode=draw(st.sampled_from(PRIOR_MODES)),
+    )
+    return volume, model, config
+
+
+class TestMatchesReference:
+    """The batched frame pipeline -- the gather, the batched lift, the
+    batched prior and the argmin -- against the per-candidate loop of
+    tests/infer_reference.py."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(frame=small_frames())
+    def test_small_volumes(self, frame):
+        volume, model, config = frame
+        assert_matches_reference(volume, model, config, CAMERA)
+
+    def test_criterion_9_frames(self):
+        # a product of about 25**17 poses: the reference ranks its own
+        # candidates with n_best_poses, which criterion 1 holds to brute force
+        camera = default_camera()
+        frames = generate_frames(
+            default_skeleton(), camera, 12, CorruptionSpec(noise_floor=0.02), seed=7
+        )
+        rng = np.random.default_rng(8)
+        poses_3d = [
+            place_subject(sample_pose(default_skeleton(), rng), camera, rng) for _ in range(200)
+        ]
+        poses_2d = [project_perspective(pose, camera) for pose in poses_3d]
+        model, _ = train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=5))
+        config = InferenceConfig(num_candidates=128)
+
+        def rank(values, n):
+            return [(a.indices, a.score) for a in n_best_poses(values, n)]
+
+        for frame in frames:
+            assert_matches_reference(frame.volume, model, config, camera, rank)

@@ -443,6 +443,25 @@ class TestRunBenchmark:
         prior = per_frame["prior"]
         assert len(greedy["mpjpe"]) == len(prior["mpjpe"]) == 5
 
+    def test_unknown_baseline_refused_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(synth, "train_lifter", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match="baseline 'gredy'"):
+            run_benchmark(
+                default_skeleton(), default_camera(), n_train=20, n_test=5,
+                configs=self.CONFIGS, seed=0, train_config=self.TRAIN,
+                baseline="gredy",
+            )
+        assert trained == []
+
+    def test_empty_test_split_refused(self):
+        # not a report of NaN means: its values must all be JSON
+        with pytest.raises(ValueError, match="frame count"):
+            run_benchmark(
+                default_skeleton(), default_camera(), n_train=20, n_test=0,
+                configs=self.CONFIGS, seed=0, train_config=self.TRAIN,
+            )
+
     def test_clean_frames_have_subpixel_2d_error(self):
         report, _ = run_benchmark(
             default_skeleton(),
