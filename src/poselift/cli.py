@@ -171,7 +171,6 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--out-dir", required=False)
     p.add_argument("--frames", type=_int, default=100)
-    p.add_argument("--image-size", type=_int, default=IMAGE_SIZE)
     p.add_argument("--grid-size", type=_int, default=GRID_SIZE)
     p.add_argument("--depth-min", type=float, default=DEPTH_RANGE[0])
     p.add_argument("--depth-max", type=float, default=DEPTH_RANGE[1])
@@ -400,8 +399,8 @@ def cmd_synth(args) -> int:
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
         raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
 
+    camera = default_camera()
     with _option_values():
-        camera = default_camera(args.image_size)
         corruption = CorruptionSpec(
             distractor_prob=args.distractor_prob,
             strength=args.distractor_strength,
@@ -428,7 +427,7 @@ def cmd_synth(args) -> int:
     provenance = {
         "seed": args.seed,
         "frames": args.frames,
-        "image_size": args.image_size,
+        "image_size": IMAGE_SIZE,
         "grid_size": args.grid_size,
         "depth_range": [args.depth_min, args.depth_max],
         "corruption": dataclasses.asdict(corruption),

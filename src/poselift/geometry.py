@@ -68,15 +68,6 @@ class BoundingBox:
             raise ValueError("box side must be positive")
 
 
-@dataclass(frozen=True)
-class NormalizedPose2D:
-    """Zero-mean, unit-RMS 2D pose plus the mean/scale that recover it."""
-
-    joints: np.ndarray  # (M, 2), dimensionless
-    mean: np.ndarray  # (2,), pixels
-    scale: float  # pixels, > 0
-
-
 def as_poses(poses, dim: int, ndim: int | None = 2) -> np.ndarray:
     """Finite float64 poses of `dim` coordinates: one (M, dim) pose, a
     (K, M, dim) stack with ndim=3, or (..., M, dim) with ndim=None; else
@@ -114,15 +105,16 @@ def normalize_poses(poses):
     return joints, means, scales
 
 
-def normalize_pose(pose) -> NormalizedPose2D:
+def normalize_pose(pose):
     """Shift to zero mean and divide by the RMS joint distance from the mean.
 
-    Raises DegeneratePoseError when all joints coincide, one joint included.
+    Returns (joints, mean, scale), with pose = joints * scale + mean. Raises
+    DegeneratePoseError when all joints coincide, one joint included.
     """
     joints, means, scales = normalize_poses(as_poses(pose, 2)[None])
     if not scales[0] > 0:
         raise DegeneratePoseError("all joints coincide; scale is zero")
-    return NormalizedPose2D(joints=joints[0], mean=means[0], scale=float(scales[0]))
+    return joints[0], means[0], float(scales[0])
 
 
 def project_perspective(pose, camera: CameraModel) -> np.ndarray:

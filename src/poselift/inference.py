@@ -43,6 +43,12 @@ def check_prior(mode: str, strength: float) -> None:
         raise ValueError("prior strength must be finite and >= 0")
 
 
+def check_camera(mode: str, camera: CameraModel | None) -> None:
+    """ValueError when the perspective prior has no camera to project through."""
+    if mode == PRIOR_PERSPECTIVE and camera is None:
+        raise ValueError("perspective prior requires a camera model")
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     prior_strength: float = 1.0  # weight on the consistency term
@@ -95,10 +101,11 @@ def consistency_priors(
     candidate and the normalized re-projection. Candidates whose absolute
     lift has a joint at non-positive depth, whose re-projection overflows,
     or whose pose or re-projection cannot be normalized, get +inf. Raises
-    ValueError for non-finite lifts, and for a mode or strength that
-    check_prior refuses.
+    ValueError for non-finite lifts, for a mode or strength that
+    check_prior refuses, and for a camera that check_camera refuses.
     """
     check_prior(mode, strength)
+    check_camera(mode, camera)
     poses_2d = np.asarray(poses_2d, dtype=np.float64)
     lifted = np.asarray(lifted, dtype=np.float64)
     if mode == PRIOR_PERSPECTIVE:
@@ -145,8 +152,7 @@ def infer(
     the frame. Raises FloatingPointError when a lift is not finite (the
     network overflows on this input).
     """
-    if config.prior_mode == PRIOR_PERSPECTIVE and camera is None:
-        raise ValueError("perspective prior requires a camera model")
+    check_camera(config.prior_mode, camera)
     if volume.num_joints != model.num_joints:
         raise ValueError(
             f"volume has {volume.num_joints} joints, model expects {model.num_joints}"

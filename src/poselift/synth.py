@@ -32,7 +32,7 @@ BOX_MARGIN = 0.15
 # default (min, max) depth of a placed subject's centroid, mm from the camera
 DEPTH_RANGE = (3000.0, 6000.0)
 
-# default side, in pixels, of the square camera image and of a heat map
+# side, in pixels, of the square camera image, and a heat map's default side
 IMAGE_SIZE = 1000
 GRID_SIZE = 32
 
@@ -165,10 +165,9 @@ def default_skeleton() -> SkeletonSpec:
     )
 
 
-def default_camera(image_size: int = IMAGE_SIZE) -> CameraModel:
-    # the grid size's bounds; by 1e20 the principal point swamps a pose's extent
-    check_count(image_size, "image size", high=2**32 - 1)
-    return CameraModel(fx=1150.0, fy=1150.0, cx=image_size / 2, cy=image_size / 2)
+def default_camera() -> CameraModel:
+    """The one synthetic camera: 1150 px focal length, centered on the image."""
+    return CameraModel(fx=1150.0, fy=1150.0, cx=IMAGE_SIZE / 2, cy=IMAGE_SIZE / 2)
 
 
 def _euler_rotations(angles) -> np.ndarray:

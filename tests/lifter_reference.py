@@ -45,10 +45,10 @@ def loss_and_gradients(weights, biases, inputs, targets):
 def prepare_training_data(poses_2d, poses_3d):
     inputs_flat, means, scales, targets, centroids = [], [], [], [], []
     for p2, p3 in zip(poses_2d, poses_3d):
-        norm = normalize_pose(p2)
-        inputs_flat.append(norm.joints.ravel())
-        means.append(norm.mean)
-        scales.append(norm.scale)
+        joints, mean, scale = normalize_pose(p2)
+        inputs_flat.append(joints.ravel())
+        means.append(mean)
+        scales.append(scale)
         p3 = np.asarray(p3, dtype=np.float64)
         centroid = p3.mean(axis=0)
         centroids.append(centroid)

@@ -4,6 +4,7 @@ config-file semantics, and the full synth -> train -> infer -> eval loop."""
 import hashlib
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -123,14 +124,12 @@ class TestSynth:
          ("--depth-min", "nan"), ("--depth-min", "-100", "--depth-max", "50"),
          ("--depth-min", "1", "--depth-max", "1"),
          ("--depth-min", "100", "--depth-max", "1000"),
-         ("--image-size", OVERFLOW), ("--image-size", str(10**20)),
-         ("--image-size", "0"), ("--grid-size", OVERFLOW),
+         ("--grid-size", OVERFLOW),
          ("--grid-size", str(2**32)), ("--grid-size", str(10**300)),
          ("--noise-floor", "1e39"),
          ("--distractor-prob", "1", "--distractor-strength", "1e300")],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
-             "behind-camera", "partly-behind-camera", "overflowing-image-size",
-             "huge-image", "zero-image", "overflowing-grid-size",
+             "behind-camera", "partly-behind-camera", "overflowing-grid-size",
              "grid-size-over-uint32", "huge-grid-size", "overflowing-noise",
              "overflowing-strength"],
     )
@@ -138,6 +137,30 @@ class TestSynth:
         out = tmp_path / "data"
         assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
         assert_usage_error_names(capsys.readouterr().err, flags)
+        assert not out.exists()
+
+    def test_camera_is_fixed(self, tmp_path):
+        out = synth_dataset(tmp_path / "data", frames=1)
+        camera = json.loads((out / "camera.json").read_text())
+        assert camera == {"fx": 1150.0, "fy": 1150.0, "cx": 500.0, "cy": 500.0}
+        assert json.loads((out / "provenance.json").read_text())["image_size"] == 1000
+
+    # every value, those the old option refused included, is an unknown option
+    @pytest.mark.parametrize(
+        "value, from_config",
+        [("640", False), ("0", False), (str(10**20), False), (OVERFLOW, False), ("640", True)],
+        ids=["flag", "flag-zero", "flag-huge", "flag-overflowing", "config"],
+    )
+    def test_image_size_is_not_an_option(self, tmp_path, capsys, value, from_config):
+        out = tmp_path / "data"
+        flags = ("--image-size", value)
+        if from_config:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"image-size": int(value)}))
+            flags = ("--config", str(config))
+        assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "image-size" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--grid-size", "0")])
@@ -1074,7 +1097,6 @@ class TestUsage:
                 "distractor_prob": synth.CorruptionSpec().distractor_prob,
                 "distractor_strength": synth.CorruptionSpec().strength,
                 "noise_floor": synth.CorruptionSpec().noise_floor,
-                "image_size": synth.IMAGE_SIZE,
                 "grid_size": synth.GRID_SIZE,
             }),
         ],
@@ -1082,6 +1104,25 @@ class TestUsage:
     def test_defaults_are_the_library_defaults(self, command, defaults):
         parsed = vars(cli.build_parser().parse_args([command]))
         assert {dest: parsed[dest] for dest in defaults} == defaults
+
+    def test_docs_name_only_real_options(self):
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        options = {
+            flag
+            for parser in commands.choices.values()
+            for action in parser._actions
+            for flag in action.option_strings
+        }
+        root = Path(__file__).resolve().parents[1]
+        named = {
+            (doc, flag)
+            for doc in ("README.md", "FORMATS.md")
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (root / doc).read_text("utf-8"))
+        }
+        # pip's flag in the install commands is the one exception
+        assert {(doc, flag) for doc, flag in named if flag not in options} == {
+            ("README.md", "--no-build-isolation")
+        }
 
     def test_choices_are_the_library_lists(self):
         assert option_actions("train-lifter")["input_mode"].choices is INPUT_MODES

@@ -61,7 +61,6 @@ COUNTS = [
      "grid size", 1, None),
     ("image_to_grid", lambda n: image_to_grid(np.zeros((2, 2)), BOX, n),
      "grid size", 1, None),
-    ("default_camera", default_camera, "image size", 1, 2**32 - 1),
     ("mpjpe.root_index", lambda n: mpjpe(POSE, POSE, root_index=n),
      "root index", 0, len(POSE) - 1),
 ]

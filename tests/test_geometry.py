@@ -36,32 +36,32 @@ def random_pose3d(rng, m=17, scale=400.0):
 
 class TestNormalizePose:
     def test_symmetric_two_point_example(self):
-        norm = normalize_pose([(0.0, 0.0), (2.0, 0.0)])
-        np.testing.assert_allclose(norm.joints, [(-1, 0), (1, 0)])
-        np.testing.assert_allclose(norm.mean, (1, 0))
-        assert norm.scale == pytest.approx(1.0)
+        joints, mean, scale = normalize_pose([(0.0, 0.0), (2.0, 0.0)])
+        np.testing.assert_allclose(joints, [(-1, 0), (1, 0)])
+        np.testing.assert_allclose(mean, (1, 0))
+        assert scale == pytest.approx(1.0)
 
     def test_already_normalized_pose_is_unchanged(self):
         pose = np.array([(-1.0, 0.0), (1.0, 0.0)])
-        norm = normalize_pose(pose)
-        np.testing.assert_allclose(norm.joints, pose)
-        np.testing.assert_allclose(norm.mean, (0, 0), atol=1e-12)
-        assert norm.scale == pytest.approx(1.0)
+        joints, mean, scale = normalize_pose(pose)
+        np.testing.assert_allclose(joints, pose)
+        np.testing.assert_allclose(mean, (0, 0), atol=1e-12)
+        assert scale == pytest.approx(1.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         pose = rng.uniform(0, 500, size=(17, 2))
-        norm = normalize_pose(pose)
-        np.testing.assert_allclose(norm.joints * norm.scale + norm.mean, pose, atol=1e-9)
+        joints, mean, scale = normalize_pose(pose)
+        np.testing.assert_allclose(joints * scale + mean, pose, atol=1e-9)
 
     def test_zero_mean_unit_rms_invariants(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            norm = normalize_pose(rng.uniform(-100, 600, size=(17, 2)))
+            joints, _, _ = normalize_pose(rng.uniform(-100, 600, size=(17, 2)))
             np.testing.assert_allclose(
-                norm.joints.mean(axis=0), (0, 0), atol=1e-9
+                joints.mean(axis=0), (0, 0), atol=1e-9
             )
-            rms = np.sqrt(np.mean(np.sum(norm.joints**2, axis=1)))
+            rms = np.sqrt(np.mean(np.sum(joints**2, axis=1)))
             assert rms == pytest.approx(1.0, rel=1e-9)
 
     def test_coincident_joints_raise(self):
@@ -87,10 +87,10 @@ class TestNormalizePose:
                 assert scales[k] == 0.0
                 np.testing.assert_array_equal(joints[k], 0.0)
                 continue
-            norm = normalize_pose(pose)
-            np.testing.assert_array_equal(joints[k], norm.joints)
-            np.testing.assert_array_equal(means[k], norm.mean)
-            assert scales[k] == norm.scale
+            normed, mean, scale = normalize_pose(pose)
+            np.testing.assert_array_equal(joints[k], normed)
+            np.testing.assert_array_equal(means[k], mean)
+            assert scales[k] == scale
 
 
 class TestProjection:
@@ -342,10 +342,10 @@ class TestGridImageMapping:
 def test_normalize_round_trip_property(points):
     pose = np.array(points, dtype=np.float64)
     try:
-        norm = normalize_pose(pose)
+        joints, mean, scale = normalize_pose(pose)
     except DegeneratePoseError:
         return
     np.testing.assert_allclose(
-        norm.joints * norm.scale + norm.mean, pose, atol=1e-6 * max(1.0, np.abs(pose).max())
+        joints * scale + mean, pose, atol=1e-6 * max(1.0, np.abs(pose).max())
     )
-    np.testing.assert_allclose(norm.joints.mean(axis=0), (0, 0), atol=1e-9)
+    np.testing.assert_allclose(joints.mean(axis=0), (0, 0), atol=1e-9)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infer_reference
+from poselift import inference
 from poselift.geometry import BoundingBox, CameraModel, grid_to_image, project_perspective
 from poselift.heatmaps import (
     HeatMapVolume,
@@ -25,6 +26,7 @@ from poselift.inference import (
     PRIOR_ORTHOGRAPHIC,
     PRIOR_PERSPECTIVE,
     InferenceConfig,
+    check_camera,
     consistency_priors,
     extract_candidates,
     infer,
@@ -164,6 +166,21 @@ class TestPriors:
         model = constant_lifter(np.zeros((3, 3)))
         values = consistency_priors(np.zeros((0, 3, 2)), np.zeros((0, 3, 3)), model, mode, 1.0, camera)
         assert values.shape == (0,)
+
+    @pytest.mark.parametrize("batch", [1, 0])
+    def test_perspective_without_camera_is_refused(self, batch):
+        model = constant_lifter(np.zeros((3, 3)), mean_offset=(0, 0, 4000.0))
+        poses = np.repeat(self.POSE_2D[None], batch, axis=0)
+        with pytest.raises(ValueError, match="requires a camera"):
+            consistency_priors(poses, np.zeros((batch, 3, 3)), model, PRIOR_PERSPECTIVE, 1.0)
+
+    @pytest.mark.parametrize(
+        "mode, camera",
+        [(PRIOR_PERSPECTIVE, CAMERA), (PRIOR_ORTHOGRAPHIC, None), (PRIOR_ORTHOGRAPHIC, CAMERA)],
+        ids=["perspective-camera", "orthographic-no-camera", "orthographic-camera"],
+    )
+    def test_check_camera_accepts(self, mode, camera):
+        assert check_camera(mode, camera) is None
 
 
 class TestConfig:
@@ -349,8 +366,12 @@ class TestInfer:
         result = infer(self.volume, self.model, config)
         assert np.isfinite(result.candidates[result.chosen_index].energy)
 
-    def test_perspective_requires_camera(self):
-        with pytest.raises(ValueError):
+    def test_perspective_requires_camera(self, monkeypatch):
+        def extract(*args):
+            raise AssertionError("candidates extracted before the camera check")
+
+        monkeypatch.setattr(inference, "extract_candidates", extract)
+        with pytest.raises(ValueError, match="requires a camera"):
             infer(self.volume, self.model, InferenceConfig())
 
     def test_joint_count_mismatch(self):

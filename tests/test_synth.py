@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import synth_reference as ref
 from poselift import synth
 from poselift.fileio import load_volume, save_volume
-from poselift.geometry import image_to_crop, image_to_grid, error_2d
+from poselift.geometry import error_2d, image_to_crop, image_to_grid, project_perspective
 from poselift.inference import InferenceConfig
 from poselift.lifter import LifterTrainConfig
 from poselift.synth import (
@@ -314,13 +314,18 @@ class TestMakeFrame:
 
 
 class TestDefaultCamera:
-    @pytest.mark.parametrize("image_size", [0, 2**32, 1e20, np.nan])
-    def test_image_size_outside_uint32_rejected(self, image_size):
-        with pytest.raises(ValueError, match="image size"):
-            default_camera(image_size)
+    def test_fixed_and_centered_on_the_image(self):
+        camera = default_camera()
+        assert (camera.fx, camera.fy) == (1150.0, 1150.0)
+        assert camera.cx == camera.cy == synth.IMAGE_SIZE / 2
 
-    def test_largest_image_size_accepted(self):
-        assert default_camera(2**32 - 1).cx == (2**32 - 1) / 2
+    def test_placed_subjects_project_inside_the_image(self):
+        rng = np.random.default_rng(0)
+        camera = default_camera()
+        for _ in range(200):
+            pose = place_subject(sample_pose(default_skeleton(), rng), camera, rng)
+            pose_2d = project_perspective(pose, camera)
+            assert np.all((pose_2d > 0) & (pose_2d < synth.IMAGE_SIZE))
 
 
 class TestGenerateFrames:
@@ -329,8 +334,6 @@ class TestGenerateFrames:
         frames = generate_frames(
             default_skeleton(), default_camera(), 5, CorruptionSpec(), seed=0
         )
-        from poselift.geometry import project_perspective
-
         for f in frames:
             reproj = project_perspective(f.pose_3d, default_camera())
             assert error_2d(
