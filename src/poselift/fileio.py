@@ -182,7 +182,7 @@ def _read_volume(path, read_maps: bool):
 def load_volume(path) -> HeatMapVolume:
     maps, box = _read_volume(path, read_maps=True)
     try:
-        return HeatMapVolume(maps=maps.astype(np.float64), box=box)
+        return HeatMapVolume(maps=maps, box=box)
     except ValueError as e:
         raise DataFormatError(f"{path}: bad heat-map volume: {e}")
 

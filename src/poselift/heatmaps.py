@@ -16,8 +16,10 @@ from .geometry import BoundingBox, check_count
 
 CONVERGENCE_TOL = 1e-4
 MAX_ITERATIONS = 100
-# A window wider than 31 * sqrt(2) covers a whole 32 x 32 grid; at 64 a cold
-# 17-joint frame of that size takes about 6 s and 0.7 GB.
+# find_modes_volume builds its window masks for at most hypot(W, H), which
+# covers an H x W grid from every point it evaluates, so on a 32 x 32 grid a
+# bandwidth above 45.25 costs what 45.25 does: a cold 17-joint frame takes
+# about 5.5 s and 0.36 GB. On larger grids this bound caps the cost.
 MAX_BANDWIDTH = 64.0
 
 
@@ -33,10 +35,14 @@ def check_extraction(bandwidth, max_candidates) -> None:
 
 
 def _checked_maps(maps) -> np.ndarray:
-    """maps as a float64 (M, H, W) stack with stray negative activations
-    clipped to 0; ValueError, naming the joint, for a grid that holds a
-    non-finite value or no positive one."""
-    maps = np.asarray(maps, dtype=np.float64)
+    """maps as an (M, H, W) stack with stray negative activations clipped to
+    0: float32 stays float32, the precision of a volume file, and any other
+    dtype becomes float64, so float64 maps are never narrowed. ValueError,
+    naming the joint, for a grid that holds a non-finite value or no
+    positive one."""
+    maps = np.asarray(maps)
+    if maps.dtype != np.float32:
+        maps = maps.astype(np.float64, copy=False)
     if maps.ndim != 3:
         raise ValueError("expected (M, H, W) heat-map stack")
     finite = np.isfinite(maps).all(axis=(1, 2))
@@ -50,7 +56,11 @@ def _checked_maps(maps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeatMapVolume:
-    """Per-joint likelihood grids plus the crop box that produced them."""
+    """Per-joint likelihood grids plus the crop box that produced them.
+
+    maps are checked and clipped by _checked_maps: float32 maps, as volume
+    files and synth hold them, stay float32; others become float64.
+    """
 
     maps: np.ndarray  # (M, H, W), non-negative, H == W
     box: BoundingBox
@@ -284,13 +294,15 @@ class _RowSums:
     (x + ox, y), lo <= ox <= hi, of each joint's grid (zero outside it). A
     window sum is then one lookup per mask row. Bases run over x in
     [-1, w-1] and rows over y in [-r, h-1+r], which covers every mode and
-    every saddle probe.
+    every saddle probe. b2 is the square of the bandwidth itself, which
+    the shadow density weighs with, whatever radius masks were built for.
     """
 
-    def __init__(self, grids, masks: _WindowMasks):
+    def __init__(self, grids, masks: _WindowMasks, b2: float):
         m, h, w = grids.shape
         r = masks.r
         self.masks = masks
+        self.b2 = b2
         self.height, self.width = h + 2 * r, w + 1
         self.plane = m * self.height * self.width
         self._padded = np.zeros((m, self.height, w + 2 * r + 1))
@@ -353,7 +365,10 @@ class _RowSums:
         rows = self.sums.take(self.index(cells, mask_ids))
         total = np.add.reduce(rows, axis=0)
         weight = total.real
-        sum_y = np.add.reduce(rows.real * self.masks.offsets[:, None], axis=0)
+        # the y-moments in place, now that total is reduced
+        moments = rows.real
+        moments *= self.masks.offsets[:, None]
+        sum_y = np.add.reduce(moments, axis=0)
         # the quotient sum(w * x) / sum(w) over absolute coordinates
         return (bx * weight + total.imag) / weight, (by * weight + sum_y) / weight, weight
 
@@ -372,7 +387,7 @@ class _RowSums:
         fx, fy = x - bx, y - by
         # sum of w * d^2 = sum of w * ((ox - fx)^2 + (oy - fy)^2), expanded
         d2 = squares - 2 * fx * total.imag + oy2 - 2 * fy * oy1 + (fx * fx + fy * fy) * weight
-        return self.masks.b2 * weight - d2
+        return self.b2 * weight - d2
 
 
 # np.sqrt(d2) >= CONVERGENCE_TOL exactly when d2 >= _MOVED_D2: sqrt is
@@ -572,15 +587,19 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     with probes at radius 0.5) are dropped, except the strongest point.
     The joints are independent; batching them only amortizes the
     per-iteration overhead. The grids are checked, and negative values
-    clipped, as HeatMapVolume does, but they need not be square; bandwidth
-    and max_candidates are checked by check_extraction.
+    clipped, as HeatMapVolume does, but they need not be square, and
+    float32 grids are widened to float64 before any sum; bandwidth and
+    max_candidates are checked by check_extraction.
     """
     check_extraction(bandwidth, max_candidates)
-    grids = _checked_maps(grids)
-    m = grids.shape[0]
-
-    masks = _window_masks(float(bandwidth))
-    sums = _RowSums(grids, masks)
+    grids = _checked_maps(grids).astype(np.float64, copy=False)
+    m, h, w = grids.shape
+    # Every point evaluated -- a pixel, a mean, a probe 0.5 from one -- lies
+    # within 0.5 of [0, w-1] x [0, h-1], so a window of radius hypot(w, h)
+    # holds every pixel of the grid, as any wider window does: the masks
+    # stop there. The shadow density keeps the bandwidth's own square.
+    masks = _window_masks(min(float(bandwidth), float(np.hypot(w, h))))
+    sums = _RowSums(grids, masks, float(bandwidth) ** 2)
     x, y, joints, values = _converge(grids, masks, sums)
     order = _priority_order(x, y, joints, values)
     x, y, joints, values = x[order], y[order], joints[order], values[order]
@@ -646,11 +665,12 @@ def find_modes_nms(grid, max_candidates: int, radius: float) -> JointCandidates:
     The grid is bilinearly upsampled by 8, local maxima over
     8-neighborhoods are collected, and greedy non-maximum suppression with
     the scaled radius keeps the strongest peaks. Output coordinates are
-    mapped back to the original grid scale. radius and max_candidates are
-    checked as find_modes_volume checks its bandwidth and max_candidates.
+    mapped back to the original grid scale; a float32 grid is widened to
+    float64 first. radius and max_candidates are checked as
+    find_modes_volume checks its bandwidth and max_candidates.
     """
     check_extraction(radius, max_candidates)
-    grid = _checked_maps([grid])[0]
+    grid = _checked_maps([grid])[0].astype(np.float64, copy=False)
     up = _upsample(grid, _NMS_UPSCALE)
     # >= its neighbors keeps the symmetric ties that bilinear resampling
     # produces around a peak; NMS then drops the duplicates

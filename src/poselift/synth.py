@@ -251,8 +251,8 @@ def make_frame(
         maps[hits] += corruption.strength * render_gaussian(distractors, grid_size)
     if noise is not None:
         maps += noise
-    # store at file precision so volumes round-trip bit-exactly
-    maps = np.clip(maps, 0, None).astype(np.float32).astype(np.float64)
+    # hold at file precision, float32, so volumes round-trip bit-exactly
+    maps = np.clip(maps, 0, None).astype(np.float32)
     return HeatMapVolume(maps=maps, box=box), pose_2d, pose_3d
 
 

@@ -159,8 +159,13 @@ class TestVolume:
         path = tmp_path / "vol.hmv"
         save_volume(path, volume)
         loaded = load_volume(path)
+        # read at file precision, and held so
+        assert loaded.maps.dtype == np.float32
+        assert loaded.maps.nbytes == 4 * np.prod(volume.maps.shape)
         np.testing.assert_array_equal(loaded.maps, volume.maps)
         assert loaded.box == volume.box
+        save_volume(path, loaded)  # a float32 volume round-trips as well
+        assert load_volume(path).maps.tobytes() == loaded.maps.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "vol.hmv"

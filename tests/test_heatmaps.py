@@ -76,6 +76,18 @@ class TestHeatMapVolume:
         assert vol.maps.min() == 0.0
         assert vol.maps[0, 1, 1] == 2.0
 
+    def test_float32_stays_float32_and_nothing_is_narrowed(self):
+        rng = np.random.default_rng(3)
+        maps = rng.uniform(-0.1, 1.0, (3, 8, 8))  # most values need float64
+        narrow = HeatMapVolume(maps=maps.astype(np.float32), box=BOX)
+        assert narrow.maps.dtype == np.float32
+        assert narrow.maps.nbytes == 4 * 3 * 8 * 8
+        np.testing.assert_array_equal(narrow.maps, np.clip(maps.astype(np.float32), 0, None))
+        for wide in (maps, maps.astype(np.float16), (maps * 10).astype(int)):
+            vol = HeatMapVolume(maps=wide, box=BOX)
+            assert vol.maps.dtype == np.float64
+            np.testing.assert_array_equal(vol.maps, np.clip(wide, 0, None))
+
     def test_rejects_all_zero_joint(self):
         maps = np.zeros((2, 4, 4))
         maps[0, 0, 0] = 1.0
@@ -392,6 +404,32 @@ class TestReferenceEngine:
                 }
                 assert inside == want
 
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_windows_as_wide_as_the_grid(self, size, monkeypatch):
+        """The masks stop at radius hypot(W, H), which holds the whole grid
+        from every point that extraction evaluates; the reference builds
+        each window in full. The bare diagonal would not do: probes sit 0.5
+        beyond the grid. Above either radius every seed reaches one point
+        in one step, so only the recorded radii tell the two apart."""
+        rng = np.random.default_rng(size)
+        grids = np.zeros((2, size, size))
+        for grid in grids:  # a few dozen pixels on a 2^-20 lattice
+            at = rng.choice(size * size, min(40, size * size // 2), replace=False)
+            grid.flat[at] = rng.integers(1, 2**20, len(at)) / 2**20
+        radii, cached = [], hm._window_masks
+
+        def window_masks(radius):
+            radii.append(radius)
+            return cached(radius)
+
+        monkeypatch.setattr(hm, "_window_masks", window_masks)
+        try:
+            for bandwidth in (16.0, 32.0, 43.8, 44.0, 64.0):
+                assert_matches_reference(grids, bandwidth, 8)
+        finally:
+            cached.cache_clear()  # a wide window's catalog is large
+        assert max(radii) == np.hypot(size, size)
+
     @pytest.mark.parametrize("bandwidth", [0.01, 0.7, 1.0, 2.5, 3.0, 7.3])
     def test_states_match_exact(self, bandwidth):
         """The fraction lookup and the slot table give exact's mask ids,
@@ -692,11 +730,12 @@ class TestNmsMatchesScipy:
 
     @pytest.mark.parametrize("upscale", [1, 2, 3, 5, 8])
     def test_synth_grids(self, upscale):
-        # volumes hold float32 values, as every volume on disk does
+        # volumes hold float32 values, as every volume on disk does;
+        # find_modes_nms widens them to float64 before it upsamples
         corruption = CorruptionSpec(distractor_prob=0.4, noise_floor=0.02)
         frames = generate_frames(default_skeleton(), default_camera(), 2, corruption, seed=3)
         for frame in frames:
-            for grid in frame.volume.maps:
+            for grid in frame.volume.maps.astype(np.float64):
                 assert_matches_scipy(grid, upscale)
 
 

@@ -469,6 +469,23 @@ def small_frames(draw):
     return volume, model, config
 
 
+@pytest.fixture(scope="module")
+def criterion_9():
+    """Criterion 9's camera, its twelve frames (seed 7) and its lifter: 200
+    pairs from seed 8, 5 epochs."""
+    camera = default_camera()
+    frames = generate_frames(
+        default_skeleton(), camera, 12, CorruptionSpec(noise_floor=0.02), seed=7
+    )
+    rng = np.random.default_rng(8)
+    poses_3d = [
+        place_subject(sample_pose(default_skeleton(), rng), camera, rng) for _ in range(200)
+    ]
+    poses_2d = [project_perspective(pose, camera) for pose in poses_3d]
+    model, _ = train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=5))
+    return camera, frames, model
+
+
 class TestMatchesReference:
     """The batched frame pipeline -- the gather, the batched lift, the
     batched prior and the argmin -- against the per-candidate loop of
@@ -480,19 +497,10 @@ class TestMatchesReference:
         volume, model, config = frame
         assert_matches_reference(volume, model, config, CAMERA)
 
-    def test_criterion_9_frames(self):
+    def test_criterion_9_frames(self, criterion_9):
         # a product of about 25**17 poses: the reference ranks its own
         # candidates with n_best_poses, which criterion 1 holds to brute force
-        camera = default_camera()
-        frames = generate_frames(
-            default_skeleton(), camera, 12, CorruptionSpec(noise_floor=0.02), seed=7
-        )
-        rng = np.random.default_rng(8)
-        poses_3d = [
-            place_subject(sample_pose(default_skeleton(), rng), camera, rng) for _ in range(200)
-        ]
-        poses_2d = [project_perspective(pose, camera) for pose in poses_3d]
-        model, _ = train_lifter(poses_2d, poses_3d, LifterTrainConfig(epochs=5))
+        camera, frames, model = criterion_9
         config = InferenceConfig(num_candidates=128)
 
         def rank(values, n):
@@ -500,3 +508,28 @@ class TestMatchesReference:
 
         for frame in frames:
             assert_matches_reference(frame.volume, model, config, camera, rank)
+
+    def test_float32_volume_matches_its_float64_copy(self, criterion_9):
+        """Volumes hold float32, as volume files do, and extraction widens
+        them to float64 before any sum: both extraction engines and infer
+        give a float32 volume's bits for its float64 copy."""
+        camera, frames, model = criterion_9
+        corruption = CorruptionSpec(distractor_prob=0.4, strength=1.1)
+        distractor = generate_frames(default_skeleton(), camera, 1, corruption, seed=3)
+        config = InferenceConfig(num_candidates=128)
+        for frame in list(frames[:4]) + list(distractor):
+            narrow = frame.volume
+            assert narrow.maps.dtype == np.float32
+            wide = HeatMapVolume(maps=narrow.maps.astype(np.float64), box=narrow.box)
+            pairs = list(
+                zip(find_modes_volume(narrow.maps, 3.0, 128), find_modes_volume(wide.maps, 3.0, 128))
+            )
+            for a, b in zip(narrow.maps, wide.maps):
+                pairs.append((find_modes_nms(a, 64, 3.0), find_modes_nms(b, 64, 3.0)))
+            for a, b in pairs:
+                assert a.positions.tobytes() == b.positions.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+            a, b = infer(narrow, model, config, camera), infer(wide, model, config, camera)
+            assert (a.chosen_index, a.candidates) == (b.chosen_index, b.candidates)
+            for field in ("pose_2d", "pose_3d", "pose_3d_absolute"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

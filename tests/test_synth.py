@@ -282,9 +282,13 @@ class TestMakeFrame:
     def test_volume_round_trips_bit_exactly(self, tmp_path):
         pose, rng = placed_pose(4)
         volume, _, _ = make_frame(pose, default_camera(), CorruptionSpec(), rng)
+        # held at file precision, float32
+        assert volume.maps.dtype == np.float32
+        assert volume.maps.nbytes == 4 * np.prod(volume.maps.shape)
         path = tmp_path / "frame.hmv"
         save_volume(path, volume)
         loaded = load_volume(path)
+        assert loaded.maps.dtype == np.float32
         np.testing.assert_array_equal(loaded.maps, volume.maps)
         assert loaded.box == volume.box
 
@@ -335,6 +339,8 @@ class TestGenerateFrames:
             default_skeleton(), default_camera(), 5, CorruptionSpec(), seed=0
         )
         for f in frames:
+            assert f.volume.maps.dtype == np.float32
+            assert f.volume.maps.nbytes == 4 * np.prod(f.volume.maps.shape)
             reproj = project_perspective(f.pose_3d, default_camera())
             assert error_2d(
                 image_to_crop(f.pose_2d, f.volume.box),
