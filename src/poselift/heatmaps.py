@@ -19,7 +19,7 @@ MAX_ITERATIONS = 100
 # find_modes_volume builds its window masks for at most hypot(W, H), which
 # covers an H x W grid from every point it evaluates, so on a 32 x 32 grid a
 # bandwidth above 45.25 costs what 45.25 does: a cold 17-joint frame takes
-# about 5.5 s and 0.36 GB. On larger grids this bound caps the cost.
+# about 3.3 s and 0.33 GB. On larger grids this bound caps the cost.
 MAX_BANDWIDTH = 64.0
 
 
@@ -135,6 +135,7 @@ _FRACTION_CELLS = 512  # a power of two, so fraction * cells is exact
 _CELL_MARGIN = 1e-12
 _CELL_EDGES = 2
 _MASK_SLOTS = 1 << 20  # mask ids per base pixel in a state key
+_MASK_BLOCK = 256  # new masks resolved to row intervals at once
 
 # Trajectory points are rounded to this many decimals after every step, and
 # converged points once more when they are recorded. Points that round to
@@ -177,15 +178,17 @@ class _WindowMasks:
         self.lookup = self._build_lookup()
         self.seed_mask = int(self.exact(np.zeros(1), np.zeros(1))[0])
 
-    def _intervals_of(self, edge_bits):
-        inside = self.core.copy()
-        inside[self._edge_at] = edge_bits
-        out = np.empty(len(self.offsets), dtype=np.intp)
-        for k, row in enumerate(inside):
-            cols = self.offsets[row]
-            lo, hi = (cols[0], cols[-1]) if len(cols) else (1, 0)
-            out[k] = (lo + self.r - 1) * (self.r + 1) + hi
-        return out
+    def _intervals_of(self, bits):
+        """Interval per row, as (k, rows), of the masks given by edge
+        memberships (edges, k): the first and last inside offset of the
+        row, or (1, 0) for an empty row."""
+        inside = np.repeat(self.core[None], bits.shape[1], axis=0)
+        inside[:, self._edge_at[0], self._edge_at[1]] = bits.T
+        lo = self.offsets[np.argmax(inside, axis=2)]
+        hi = self.offsets[-1 - np.argmax(inside[:, :, ::-1], axis=2)]
+        empty = ~inside.any(axis=2)
+        lo[empty], hi[empty] = 1, 0
+        return (lo + self.r - 1) * (self.r + 1) + hi
 
     def _mask_ids(self, bits):
         """Catalog ids of masks given by edge memberships (edges, n), adding
@@ -193,14 +196,16 @@ class _WindowMasks:
         packed = np.ascontiguousarray(np.packbits(bits, axis=0).T)
         rows = packed.view(f"V{packed.shape[1]}").ravel()
         uniq, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        ids = np.empty(len(uniq), dtype=np.intp)
+        codes = uniq.tolist()
         with self._lock:
-            for k, code in enumerate(uniq.tolist()):
-                mask = self._ids.get(code)
-                if mask is None:
-                    mask = self._ids[code] = len(self.rows)
-                    self.rows.append(self._intervals_of(bits[:, first[k]]))
-                ids[k] = mask
+            new = [k for k, code in enumerate(codes) if code not in self._ids]
+            # in blocks, to bound the (block, rows, offsets) membership grids
+            for at in range(0, len(new), _MASK_BLOCK):
+                block = new[at : at + _MASK_BLOCK]
+                for k, intervals in zip(block, self._intervals_of(bits[:, first[block]])):
+                    self._ids[codes[k]] = len(self.rows)
+                    self.rows.append(intervals)
+            ids = np.array([self._ids[code] for code in codes], dtype=np.intp)
         return ids[inverse.ravel()]
 
     def exact(self, fx, fy):
@@ -290,12 +295,14 @@ class _RowSums:
     """Per-row window sums of one volume, for the row intervals masks use.
 
     For each interval [lo, hi] and each pixel (x, y) a plane holds
-    sum w + i * sum w*ox (complex) and sum w*ox^2 over the pixels
-    (x + ox, y), lo <= ox <= hi, of each joint's grid (zero outside it). A
-    window sum is then one lookup per mask row. Bases run over x in
-    [-1, w-1] and rows over y in [-r, h-1+r], which covers every mode and
-    every saddle probe. b2 is the square of the bandwidth itself, which
-    the shadow density weighs with, whatever radius masks were built for.
+    sum w + i * sum w*ox (complex) over the pixels (x + ox, y),
+    lo <= ox <= hi, of each joint's grid (zero outside it). The planes of
+    sum w*ox^2, which only the shadow density reads, are built on the
+    first shadow call. A window sum is then one lookup per mask row. Bases
+    run over x in [-1, w-1] and rows over y in [-r, h-1+r], which covers
+    every mode and every saddle probe. b2 is the square of the bandwidth
+    itself, which the shadow density weighs with, whatever radius masks
+    were built for.
     """
 
     def __init__(self, grids, masks: _WindowMasks, b2: float):
@@ -311,79 +318,95 @@ class _RowSums:
         self._refresh()
 
     def _refresh(self):
-        """Planes for every row interval of the mask catalog, and each
-        mask's (rows, masks) table offsets from a base cell."""
+        """Planes for every row interval of the mask catalog, and per mask
+        row the (masks,) table offsets of each mask from a base cell."""
         rows = np.array(self.masks.rows)
         needed = np.unique(rows)
         if not np.isin(needed, self.intervals).all():
             self.intervals = needed
-            self._build_planes()
+            self.sums = self._build_planes(squares=False)
+            self.squares = None  # built again when shadow needs them
         planes = np.searchsorted(self.intervals, rows)
-        self.offsets = (planes * self.plane + self.masks.offsets * self.width).T
+        self.offsets = np.ascontiguousarray((planes * self.plane + self.masks.offsets * self.width).T)
         self._known = len(rows)
 
-    def _build_planes(self):
+    def _build_planes(self, squares: bool):
+        """The planes of sum w*ox^2 if squares, else of sum w + i*sum w*ox."""
         r = self.masks.r
         los, his = np.divmod(self.intervals, r + 1)
         los -= r - 1
-        self.sums = np.empty((len(los), self.plane), dtype=complex)  # w + i*w*ox
-        self.squares = np.empty((len(los), self.plane))  # w*ox^2
-        self.sums[los > his] = 0
-        self.squares[los > his] = 0
+        dtype = np.float64 if squares else complex
+        planes = np.empty((len(los), self.plane), dtype=dtype)
+        planes[los > his] = 0
         # Each interval's sums add their offsets left to right from 0. The
         # intervals ascend by (lo, hi), so one that shares the lo of the one
         # before it goes on from that one's sums, at offset start.
         first = np.concatenate([[True], los[1:] != los[:-1]])
         start = np.where(first, los, np.roll(his, 1) + 1)
-        term, square = np.empty(self.plane, dtype=complex), np.empty(self.plane)
+        term = np.empty(self.plane, dtype=dtype)
         for ox in range(los.min(), his.max() + 1):
             # weights at (x + ox, y) on the table's (y, x) lattice
-            term.real = self._padded[:, :, ox + r : ox + r + self.width].reshape(-1)
-            np.multiply(term.real, ox, out=term.imag)
-            np.multiply(term.real, ox * ox, out=square)
+            weights = self._padded[:, :, ox + r : ox + r + self.width].reshape(-1)
+            if squares:
+                np.multiply(weights, ox * ox, out=term)
+            else:
+                term.real = weights
+                np.multiply(weights, ox, out=term.imag)
             for k in np.flatnonzero((start <= ox) & (ox <= his)):
-                w, wxx = self.sums[k], self.squares[k]
+                before = planes[k]
                 if ox == start[k]:
-                    w, wxx = (0.0, 0.0) if first[k] else (self.sums[k - 1], self.squares[k - 1])
-                np.add(w, term, out=self.sums[k])
-                np.add(wxx, square, out=self.squares[k])
+                    before = 0.0 if first[k] else planes[k - 1]
+                np.add(before, term, out=planes[k])
+        return planes
 
     def cells(self, joints, bx, by):
         """Table index of each base pixel (bx, by) of a joint."""
         return ((joints * self.height + self.masks.r + by) * self.width + 1 + bx).astype(np.intp)
 
-    def index(self, cells, mask_ids):
-        """Table indices (rows, n) of each state's mask rows."""
+    def _window_sums(self, cells, mask_ids, second: bool):
+        """Window sums of states: sum w + i * sum w*ox and sum w*oy, then,
+        if second, sum w*ox^2 and sum w*oy^2 (else None).
+
+        The mask rows are gathered one at a time and added top row first.
+        Each sum starts at -0.0, which any first term replaces bit for bit,
+        so it equals np.add.reduce(axis=0) of the (rows, n) stack of its
+        terms.
+        """
         if self._known != len(self.masks.rows):
             self._refresh()
-        idx = np.take(self.offsets, mask_ids, axis=1)
-        idx += cells
-        return idx
+        if second and self.squares is None:
+            self.squares = self._build_planes(squares=True)
+        n = len(cells)
+        idx, row, part = np.empty(n, dtype=np.intp), np.empty(n, dtype=complex), np.empty(n)
+        total, sum_y = np.full(n, complex(-0.0, -0.0)), np.full(n, -0.0)
+        sum_xx, sum_yy = (np.full(n, -0.0), np.full(n, -0.0)) if second else (None, None)
+        for oy, offsets in zip(self.masks.offsets, self.offsets):
+            # every index is in range; mode="clip" lets take write to out
+            np.take(offsets, mask_ids, out=idx, mode="clip")
+            idx += cells
+            self.sums.take(idx, out=row, mode="clip")
+            total += row
+            if second:
+                sum_xx += self.squares.take(idx, out=part, mode="clip")
+                sum_yy += np.multiply(row.real, oy * oy, out=part)
+            sum_y += np.multiply(row.real, oy, out=part)
+        return total, sum_y, sum_xx, sum_yy
 
     def step(self, cells, bx, by, mask_ids):
-        """Mean-shift targets (x, y) and window weights of states."""
-        rows = self.sums.take(self.index(cells, mask_ids))
-        total = np.add.reduce(rows, axis=0)
+        """Mean-shift targets (x, y) and window weights of states. The
+        window sums add one gathered mask row at a time, top row first, in
+        the order of np.add.reduce(axis=0) over all rows at once."""
+        total, sum_y, _, _ = self._window_sums(cells, mask_ids, second=False)
         weight = total.real
-        # the y-moments in place, now that total is reduced
-        moments = rows.real
-        moments *= self.masks.offsets[:, None]
-        sum_y = np.add.reduce(moments, axis=0)
         # the quotient sum(w * x) / sum(w) over absolute coordinates
         return (bx * weight + total.imag) / weight, (by * weight + sum_y) / weight, weight
 
     def shadow(self, joints, x, y):
         """Shadow density sum w * (b^2 - d^2) over the window of each point."""
         bx, by, mask_ids = self.masks.states(x, y)
-        idx = self.index(self.cells(joints, bx, by), mask_ids)
-        rows = self.sums.take(idx)
-        total = np.add.reduce(rows, axis=0)
+        cells = self.cells(joints, bx, by)
+        total, oy1, squares, oy2 = self._window_sums(cells, mask_ids, second=True)
         weight = total.real
-        part = self.squares.take(idx)  # reused below: fewer large temporaries
-        squares = np.add.reduce(part, axis=0)
-        oy = self.masks.offsets[:, None]
-        oy1 = np.add.reduce(np.multiply(rows.real, oy, out=part), axis=0)
-        oy2 = np.add.reduce(np.multiply(rows.real, oy * oy, out=part), axis=0)
         fx, fy = x - bx, y - by
         # sum of w * d^2 = sum of w * ((ox - fx)^2 + (oy - fy)^2), expanded
         d2 = squares - 2 * fx * total.imag + oy2 - 2 * fy * oy1 + (fx * fx + fy * fy) * weight
@@ -397,6 +420,16 @@ while np.sqrt(_MOVED_D2) >= CONVERGENCE_TOL:
     _MOVED_D2 = np.nextafter(_MOVED_D2, 0.0)
 while np.sqrt(_MOVED_D2) < CONVERGENCE_TOL:
     _MOVED_D2 = np.nextafter(_MOVED_D2, 1.0)
+
+
+def _moved(x, y, tx, ty):
+    """True where the step from (x, y) to (tx, ty) is CONVERGENCE_TOL long
+    or longer."""
+    dx, dy = tx - x, ty - y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx >= _MOVED_D2
 
 
 def _first_occurrences(keys):
@@ -432,12 +465,8 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
         if step:
             bx, by, mask_ids = masks.states(x, y)
         cells = base + (by * sums.width + bx).astype(np.intp)
-        tx, ty, _ = sums.step(cells, bx, by, mask_ids)
-        dx, dy = tx - x, ty - y
-        dx *= dx
-        dy *= dy
-        dx += dy
-        moved = dx >= _MOVED_D2
+        tx, ty = sums.step(cells, bx, by, mask_ids)[:2]
+        moved = _moved(x, y, tx, ty)
         stop, go = np.flatnonzero(~moved), np.flatnonzero(moved)
         key = cells.take(stop) * _MASK_SLOTS + mask_ids.take(stop)
         for column, values in zip(record, (key, tx.take(stop), ty.take(stop))):
@@ -506,14 +535,26 @@ def _close_pairs(x, y, groups, radius):
     stop[0::2] = np.searchsorted(key, key + reach, side="right")
     start[1::2] = np.searchsorted(key, key + (nx - reach), side="left")
     stop[1::2] = np.searchsorted(key, key + (nx + reach), side="right")
-    count = stop - start
+    count = np.subtract(stop, start, out=stop)
     # the pairs examined, as indices into x and y
     first = np.repeat(by_key, count[0::2] + count[1::2])
     second = by_key[np.repeat(start - (np.cumsum(count) - count), count) + np.arange(len(first))]
-    dx, dy = x[second] - x[first], y[second] - y[first]
-    close = np.flatnonzero(dx * dx + dy * dy < radius * radius)
-    i, j = first[close], second[close]
-    return np.minimum(i, j), np.maximum(i, j)
+    close = _squared_distances(x, y, first, second) < radius * radius
+    first, second = first[close], second[close]
+    return np.minimum(first, second), np.maximum(first, second)
+
+
+def _squared_distances(x, y, first, second):
+    """dx * dx + dy * dy per pair, where (dx, dy) = point second - point
+    first, formed in place."""
+    d2 = x.take(second)
+    d2 -= x.take(first)
+    d2 *= d2
+    dy = y.take(second)
+    dy -= y.take(first)
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _suppress(x, y, groups, radius, limit):

@@ -137,6 +137,7 @@ def extract_candidates(volume: HeatMapVolume, config: InferenceConfig):
         for grid in volume.maps
     ]
 
+
 def infer(
     volume: HeatMapVolume,
     model: LifterModel,
