@@ -107,9 +107,8 @@ def _config_flags(path, parser, command) -> list[str]:
 
 
 def _int(text: str) -> int:
-    """Type of the integer options but --seed: sizes and counts meet float
-    arithmetic, so one that a float cannot hold is refused before anything
-    is written. (A seed of any size goes to numpy as it is.)"""
+    """Type of the integer options: sizes and counts meet float arithmetic,
+    so one that a float cannot hold is refused before anything is written."""
     try:
         value = int(text)
     except ValueError:
@@ -117,6 +116,16 @@ def _int(text: str) -> int:
     if abs(value) > sys.float_info.max:
         raise argparse.ArgumentTypeError("integer too large for a float")
     return value
+
+
+def _seed(text: str) -> int:
+    """Type of --seed: an integer >= 0, of any size (numpy takes it as it is)."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"a seed is an integer >= 0, got {text!r}")
 
 
 def _sizes(text: str) -> tuple[int, ...]:
@@ -127,13 +136,11 @@ def _sizes(text: str) -> tuple[int, ...]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="poselift")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override it")
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("train-lifter", parents=[], help="fit the 2D-to-3D lifter")
-    add_common(p)
+    p = sub.add_parser("train-lifter", parents=[common], help="fit the 2D-to-3D lifter")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--poses-2d", required=False)
     p.add_argument("--poses-3d", required=False)
     p.add_argument("--out", required=False, help="output model file")
@@ -145,8 +152,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden-sizes", type=_sizes, default=LifterTrainConfig.hidden_sizes)
     p.add_argument("--input-mode", choices=INPUT_MODES, default=LifterTrainConfig.input_mode)
 
-    p = sub.add_parser("infer", help="run the full pipeline on heat-map volumes")
-    add_common(p)
+    p = sub.add_parser("infer", parents=[common], help="run the full pipeline on heat-map volumes")
     p.add_argument("--manifest", required=False)
     p.add_argument("--model", required=False)
     p.add_argument("--camera", help="camera file (perspective prior only)")
@@ -157,18 +163,16 @@ def build_parser() -> _Parser:
     p.add_argument("--prior", choices=PRIOR_MODES, default=InferenceConfig.prior_mode)
     p.add_argument("--generator", choices=GENERATORS, default=InferenceConfig.generator)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    add_common(p)
+    p = sub.add_parser("eval", parents=[common], help="score predictions against ground truth")
     p.add_argument("--pred-3d")
     p.add_argument("--gt-3d")
     p.add_argument("--pred-2d")
     p.add_argument("--gt-2d")
     p.add_argument("--manifest", help="map 2D poses into crop coordinates")
-    p.add_argument("--root-index", type=_int, default=0)
     p.add_argument("--out", required=False, help="output report file")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=False)
     p.add_argument("--frames", type=_int, default=100)
     p.add_argument("--grid-size", type=_int, default=GRID_SIZE)
@@ -350,14 +354,9 @@ def cmd_eval(args) -> int:
     if have_3d:
         frames, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)
         pair = f"{args.pred_3d} and {args.gt_3d}"
-        if not 0 <= args.root_index < len(gt[0]):
-            raise UsageError(
-                f"--root-index {args.root_index} is not a joint of the "
-                f"{len(gt[0])}-joint poses in {pair}"
-            )
         if len(gt[0]) < 3:
             raise DataFormatError(f"{pair}: similarity alignment needs 3 joints")
-        vals_m = [mpjpe(g, p, args.root_index) for g, p in zip(gt, pred)]
+        vals_m = [mpjpe(g, p) for g, p in zip(gt, pred)]
         vals_s = []
         for frame, g, p in zip(frames, gt, pred):
             try:
@@ -458,8 +457,6 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, parser, args.command)
             args = parser.parse_args(argv[:at] + flags + argv[at:])
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
         return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

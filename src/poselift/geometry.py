@@ -17,16 +17,16 @@ DEGENERATE_TOL = 1e-12
 CROP_SIZE = 256
 
 
-def check_count(value, name: str, low: int = 1, high: int | None = None) -> None:
+def check_count(value, name: str, high: int | None = None) -> None:
     """ValueError, naming the count, unless value is an integer (numpy's
-    included) in [low, high], or at least low when high is None: the one
-    rule for every count and size the library takes."""
+    included) in [1, high], or at least 1 when high is None: the one rule
+    for every count and size the library takes."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if high is None and not low <= value:
-        raise ValueError(f"{name} must be >= {low}")
-    if high is not None and not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}]")
+    if high is None and not 1 <= value:
+        raise ValueError(f"{name} must be >= 1")
+    if high is not None and not 1 <= value <= high:
+        raise ValueError(f"{name} must be in [1, {high}]")
 
 
 class DegeneratePoseError(ValueError):
@@ -138,14 +138,13 @@ def project_orthographic(pose) -> np.ndarray:
     return pose[..., :2].copy()
 
 
-def mpjpe(gt, est, root_index: int = 0) -> float:
-    """Root-relative mean per-joint position error in millimeters."""
+def mpjpe(gt, est) -> float:
+    """Mean per-joint position error in millimeters, relative to joint 0."""
     gt = as_poses(gt, 3)
     est = as_poses(est, 3)
     if gt.shape != est.shape:
         raise ValueError("pose shapes differ")
-    check_count(root_index, "root index", low=0, high=len(gt) - 1)
-    d = (gt - gt[root_index]) - (est - est[root_index])
+    d = (gt - gt[0]) - (est - est[0])
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 

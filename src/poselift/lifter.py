@@ -37,6 +37,12 @@ INPUT_NORMALIZED = "normalized"
 INPUT_MODES = (INPUT_FULL, INPUT_NORMALIZED)
 
 
+def check_input_mode(mode) -> None:
+    """ValueError unless mode is one of INPUT_MODES."""
+    if mode not in INPUT_MODES:
+        raise ValueError(f"unknown input mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class LifterModel:
     """MLP weights plus the mean 3D subject position learned from training."""
@@ -48,8 +54,7 @@ class LifterModel:
     input_mode: str = INPUT_FULL
 
     def __post_init__(self):
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"unknown input mode {self.input_mode!r}")
+        check_input_mode(self.input_mode)
         if self.num_joints < 2:  # a pose of one joint cannot be normalized
             raise ValueError("a lifter needs at least 2 joints")
         dims = self.layer_sizes
@@ -124,8 +129,7 @@ class LifterTrainConfig:
         check_count(self.batch_size, "batch_size")
         for width in self.hidden_sizes:
             check_count(width, "each of hidden_sizes")
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"unknown input mode {self.input_mode!r}")
+        check_input_mode(self.input_mode)
 
 
 class TrainingDivergedError(RuntimeError):

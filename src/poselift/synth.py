@@ -36,6 +36,9 @@ DEPTH_RANGE = (3000.0, 6000.0)
 IMAGE_SIZE = 1000
 GRID_SIZE = 32
 
+# (min, max) distance, in grid pixels, of a distractor bump from its joint
+DISTRACTOR_OFFSETS = (6.0, 12.0)
+
 # bootstrap_mean_ci: resamples drawn, and the interval's total tail mass
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_ALPHA = 0.05
@@ -91,8 +94,6 @@ class CorruptionSpec:
     """Distractor bumps and noise injected into rendered heat maps."""
 
     distractor_prob: float = 0.0  # per joint
-    offset_min: float = 6.0  # grid pixels
-    offset_max: float = 12.0
     strength: float = 1.1  # distractor peak relative to the true peak
     noise_floor: float = 0.0  # uniform noise amplitude
 
@@ -100,8 +101,6 @@ class CorruptionSpec:
         # written so that NaN fails them too
         if not 0 <= self.distractor_prob <= 1:
             raise ValueError("distractor probability must be in [0, 1]")
-        if not 0 <= self.offset_min <= self.offset_max < np.inf:
-            raise ValueError("distractor offsets must be finite with 0 <= min <= max")
         if not (0 <= self.strength < np.inf and 0 <= self.noise_floor < np.inf):
             raise ValueError("strength and noise floor must be finite and >= 0")
         # no rendered value exceeds this sum, rounded as make_frame rounds;
@@ -240,7 +239,7 @@ def make_frame(
         if rng.random() < corruption.distractor_prob:
             hits.append(i)
             angles.append(rng.uniform(0, 2 * np.pi))
-            radii.append(rng.uniform(corruption.offset_min, corruption.offset_max))
+            radii.append(rng.uniform(*DISTRACTOR_OFFSETS))
         if noise is not None:
             noise[i] = rng.uniform(0, corruption.noise_floor, size=noise.shape[1:])
     maps = render_gaussian(grid_joints, grid_size)

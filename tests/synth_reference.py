@@ -11,7 +11,7 @@ import numpy as np
 
 from poselift.geometry import BoundingBox, image_to_grid, project_perspective
 from poselift.heatmaps import HeatMapVolume
-from poselift.synth import BOX_MARGIN, GRID_SIZE
+from poselift.synth import BOX_MARGIN, DISTRACTOR_OFFSETS, GRID_SIZE
 
 
 def euler_rotation(angles):
@@ -72,7 +72,7 @@ def make_frame(pose_3d, camera, corruption, rng, grid_size=GRID_SIZE):
         grid = render_gaussian(joint, grid_size)
         if rng.random() < corruption.distractor_prob:
             angle = rng.uniform(0, 2 * np.pi)
-            radius = rng.uniform(corruption.offset_min, corruption.offset_max)
+            radius = rng.uniform(*DISTRACTOR_OFFSETS)
             distractor = joint + radius * np.array([np.cos(angle), np.sin(angle)])
             distractor = np.clip(distractor, 0, grid_size - 1)
             grid = grid + corruption.strength * render_gaussian(distractor, grid_size)

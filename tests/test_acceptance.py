@@ -364,7 +364,6 @@ def test_criterion_10_cli_reproducibility(tmp_path):
             "--camera", str(data / "camera.json"),
             "--out-dir", str(inferred),
             "--num-candidates", "8",
-            "--seed", "9",
         )
         report = base / "report.json"
         run(

@@ -1,7 +1,9 @@
 """End-to-end CLI tests through main(): exit codes, reproducibility,
 config-file semantics, and the full synth -> train -> infer -> eval loop."""
 
+import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -169,6 +171,11 @@ class TestSynth:
         assert run("synth", "--out-dir", str(out), "--frames", "1", *flags) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_seed_of_any_size_goes_to_numpy(self, tmp_path):
+        seed = 10**400  # no float holds it; only the other integer options refuse that
+        out = synth_dataset(tmp_path / "data", frames=1, seed=seed, extra=("--grid-size", "8"))
+        assert json.loads((out / "provenance.json").read_text())["seed"] == seed
 
     def test_writes_the_bytes_of_the_per_joint_sampler(self, tmp_path, monkeypatch):
         corruption = ("--distractor-prob", "0.4", "--noise-floor", "0.02")
@@ -836,17 +843,6 @@ class TestEval:
         assert run(*args, "--out", str(tmp_path / "b.json")) == EXIT_OK
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_root_index_out_of_range_is_usage_error(self, tmp_path, capsys):
-        save_poses(tmp_path / "a.jsonl", [np.eye(3)])
-        code = run(
-            "eval",
-            "--pred-3d", str(tmp_path / "a.jsonl"),
-            "--gt-3d", str(tmp_path / "a.jsonl"),
-            "--root-index", "3",
-        )
-        assert code == EXIT_USAGE
-        assert "--root-index 3" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "pred", [np.zeros((2, 3)), np.zeros((3, 3))], ids=["two-joints", "coinciding"]
     )
@@ -1123,6 +1119,60 @@ class TestUsage:
         assert {(doc, flag) for doc, flag in named if flag not in options} == {
             ("README.md", "--no-build-isolation")
         }
+
+    def test_every_option_is_read_by_its_command(self):
+        """Each option of a subcommand, but --config (main reads it), is read
+        as args.<dest> in the subcommand's cmd_* function."""
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        unread = set()
+        for command, parser in commands.choices.items():
+            tree = ast.parse(inspect.getsource(cli.COMMANDS[command]))
+            read = {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"
+            }
+            unread |= {
+                (command, action.dest)
+                for action in parser._actions
+                if action.dest not in ("help", "config", *read)
+            }
+        assert unread == set()
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("infer", "seed", 1), ("eval", "seed", 1), ("eval", "root-index", 0),
+         ("synth", "seed", -1), ("train-lifter", "seed", -1)],
+    )
+    def test_retired_settings_and_negative_seeds_are_usage_errors(
+        self, small_pipeline, tmp_path, capsys, command, key, value, from_config
+    ):
+        """infer and eval draw no random numbers and eval's root is joint 0,
+        so these keys are unknown to them; a seed is never negative."""
+        data, out = small_pipeline, tmp_path / "out"
+        argv = {
+            "infer": ("--manifest", data / "manifest.txt", "--model", data / "model.bin",
+                      "--camera", data / "camera.json", "--out-dir", out),
+            "eval": ("--pred-3d", data / "poses_3d.jsonl", "--gt-3d", data / "poses_3d.jsonl",
+                     "--out", out),
+            "synth": ("--out-dir", out, "--frames", "1", "--grid-size", "8"),
+            "train-lifter": ("--poses-2d", data / "poses_2d.jsonl",
+                             "--poses-3d", data / "poses_3d.jsonl", "--out", out,
+                             "--epochs", "1", "--hidden-sizes", "8"),
+        }[command]
+        flags = (f"--{key}", str(value))
+        if from_config:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            flags = ("--config", str(config))
+        capsys.readouterr()  # the fixture's own output
+        assert run(command, *map(str, argv), *flags) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and key in line
+        assert not out.exists()
 
     def test_choices_are_the_library_lists(self):
         assert option_actions("train-lifter")["input_mode"].choices is INPUT_MODES

@@ -165,7 +165,7 @@ class TestMpjpe:
     def test_hand_value(self):
         gt = [(0, 0, 0), (0, 0, 100)]
         est = [(0, 0, 0), (0, 0, 130)]
-        assert mpjpe(gt, est, root_index=0) == pytest.approx(15.0)
+        assert mpjpe(gt, est) == pytest.approx(15.0)
 
     def test_translation_invariance_exact(self):
         # integer-valued data keeps the translations lossless in floating
@@ -176,11 +176,6 @@ class TestMpjpe:
         t1 = rng.integers(-100000, 100000, size=3).astype(np.float64)
         t2 = rng.integers(-100000, 100000, size=3).astype(np.float64)
         assert mpjpe(gt + t1, est + t2) == mpjpe(gt, est)
-
-    def test_root_index_validation(self):
-        pose = np.zeros((4, 3))
-        with pytest.raises(ValueError):
-            mpjpe(pose, pose, root_index=4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
