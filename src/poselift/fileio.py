@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,13 @@ from .geometry import BoundingBox, CameraModel
 from .heatmaps import HeatMapVolume
 
 VOLUME_MAGIC = b"HMV1"
+
+# the types that json decodes a number to, matched by exact type: bool is a
+# subclass of int, and numpy would read true or "4" as a number too
+NUMBER_TYPES = frozenset({int, float})
+
+# a manifest's frame index: ASCII digits, after an optional minus sign
+FRAME_INDEX = re.compile(r"-?[0-9]+")
 
 
 class DataFormatError(ValueError):
@@ -73,10 +82,10 @@ def save_poses(path, poses, frames=None) -> None:
 def load_poses(path, dim: int):
     """Returns (frames, poses) sorted by frame index.
 
-    A record that is not a JSON object with an integer frame and a
-    rectangular numeric (M, dim) joints array, whose coordinates are not
-    all finite, or that repeats a frame index raises DataFormatError naming
-    the file and line.
+    A record that is not a JSON object with a JSON integer frame and a
+    rectangular (M, dim) joints array of JSON numbers, whose coordinates
+    are not all finite, or that repeats a frame index raises
+    DataFormatError naming the file and line.
     """
     records = []
     seen = set()
@@ -86,15 +95,20 @@ def load_poses(path, dim: int):
             continue
         try:
             rec = json.loads(line)
-            frame = int(rec["frame"])
-            joints = np.asarray(rec["joints"], dtype=np.float64)
+            frame, raw = rec["frame"], rec["joints"]
+            joints = np.asarray(raw, dtype=np.float64)
         except (ValueError, OverflowError, KeyError, TypeError) as e:
             raise DataFormatError(f"{path}:{lineno}: bad pose record: {e}")
+        if type(frame) is not int:
+            raise DataFormatError(f"{path}:{lineno}: frame {frame!r} is not an integer")
         if joints.ndim != 2 or joints.shape[1] != dim:
             raise DataFormatError(
                 f"{path}:{lineno}: expected (M, {dim}) joints, "
                 f"got {joints.shape}"
             )
+        # raw is M lists of dim values here; map runs the test in C
+        if not NUMBER_TYPES.issuperset(map(type, chain.from_iterable(raw))):
+            raise DataFormatError(f"{path}:{lineno}: a joint coordinate is not a number")
         if frame in seen:
             raise DataFormatError(f"{path}:{lineno}: frame {frame} repeats")
         seen.add(frame)
@@ -124,12 +138,11 @@ def load_camera(path) -> CameraModel:
     with open(path, encoding="utf-8") as f:
         try:
             rec = json.load(f)
-            return CameraModel(
-                fx=float(rec["fx"]),
-                fy=float(rec["fy"]),
-                cx=float(rec["cx"]),
-                cy=float(rec["cy"]),
-            )
+            intrinsics = {key: rec[key] for key in ("fx", "fy", "cx", "cy")}
+            for key, value in intrinsics.items():
+                if type(value) not in NUMBER_TYPES:
+                    raise TypeError(f"{key} {value!r} is not a number")
+            return CameraModel(**{key: float(v) for key, v in intrinsics.items()})
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: bad camera file: {e}")
 
@@ -200,8 +213,9 @@ def save_manifest(path, entries) -> None:
 
 def load_manifest(path):
     """(frame_index, relative_volume_path) pairs in file order; a line that
-    is not `frame<TAB>path`, whose path holds a NUL byte or that repeats a
-    frame index raises DataFormatError naming the file and line."""
+    is not `frame<TAB>path` with a FRAME_INDEX frame, whose path holds a NUL
+    byte or that repeats a frame index raises DataFormatError naming the
+    file and line."""
     entries = []
     seen = set()
     for lineno, line in _read_lines(path):
@@ -210,6 +224,8 @@ def load_manifest(path):
             continue
         try:
             frame, rel = line.split("\t")
+            if not FRAME_INDEX.fullmatch(frame):  # int() takes " 7", "+3", "1_000"
+                raise ValueError
             frame = int(frame)
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad manifest line")

@@ -1,4 +1,4 @@
-"""Synthetic data generation and the evaluation harness.
+"""Synthetic data generation.
 
 Stands in for motion-capture datasets: articulated poses are sampled by
 forward kinematics, projected through a virtual pinhole camera, and
@@ -7,24 +7,12 @@ rendered as ground-truth heat maps with optional distractor corruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    CameraModel,
-    check_count,
-    error_2d,
-    image_to_crop,
-    image_to_grid,
-    mpjpe,
-    procrustes_error,
-    project_perspective,
-)
+from .geometry import BoundingBox, CameraModel, check_count, image_to_grid, project_perspective
 from .heatmaps import HeatMapVolume, render_gaussian
-from .inference import InferenceConfig, infer
-from .lifter import LifterTrainConfig, train_lifter
 
 # the crop box extends this share of the pose's larger extent on each side
 BOX_MARGIN = 0.15
@@ -38,10 +26,6 @@ GRID_SIZE = 32
 
 # (min, max) distance, in grid pixels, of a distractor bump from its joint
 DISTRACTOR_OFFSETS = (6.0, 12.0)
-
-# bootstrap_mean_ci: resamples drawn, and the interval's total tail mass
-BOOTSTRAP_RESAMPLES = 1000
-BOOTSTRAP_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -83,10 +67,6 @@ class SkeletonSpec:
     @property
     def num_joints(self) -> int:
         return len(self.parents)
-
-    @property
-    def mean_bone_length(self) -> float:
-        return float(np.mean(np.asarray(self.bone_lengths)[1:]))
 
 
 @dataclass(frozen=True)
@@ -342,101 +322,3 @@ def generate_frames(
 ) -> list[SyntheticFrame]:
     return list(_frames(spec, camera, count, corruption, seed, depth_range, grid_size))
 
-
-def evaluate_frames(frames, model, config: InferenceConfig, camera: CameraModel):
-    """Per-frame metrics for one inference configuration."""
-    per_frame = {"mpjpe": [], "similarity": [], "error_2d": [], "chosen": []}
-    for frame in frames:
-        result = infer(frame.volume, model, config, camera=camera)
-        gt_3d = frame.pose_3d - frame.pose_3d.mean(axis=0)
-        per_frame["mpjpe"].append(mpjpe(gt_3d, result.pose_3d))
-        per_frame["similarity"].append(procrustes_error(gt_3d, result.pose_3d))
-        per_frame["error_2d"].append(
-            error_2d(
-                image_to_crop(frame.pose_2d, frame.volume.box),
-                image_to_crop(result.pose_2d, frame.volume.box),
-            )
-        )
-        per_frame["chosen"].append(result.chosen_index)
-    return {k: np.array(v) for k, v in per_frame.items()}
-
-
-def bootstrap_mean_ci(samples, rng):
-    """Percentile bootstrap confidence interval for the mean."""
-    samples = np.asarray(samples, dtype=np.float64)
-    means = np.empty(BOOTSTRAP_RESAMPLES)
-    n = len(samples)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        means[i] = samples[rng.integers(0, n, size=n)].mean()
-    lo, hi = np.quantile(means, [BOOTSTRAP_ALPHA / 2, 1 - BOOTSTRAP_ALPHA / 2])
-    return float(lo), float(hi)
-
-
-def run_benchmark(
-    skeleton: SkeletonSpec,
-    camera: CameraModel,
-    n_train: int,
-    n_test: int,
-    configs: dict[str, InferenceConfig],
-    seed: int,
-    corruption: CorruptionSpec = CorruptionSpec(),
-    train_config: LifterTrainConfig = LifterTrainConfig(),
-    baseline: str | None = None,
-    depth_range=DEPTH_RANGE,
-) -> tuple[dict, dict]:
-    """Train a lifter, infer with each config on a shared test split, and
-    report the three metrics plus a bootstrap interval for the paired MPJPE
-    delta against the named baseline config.
-
-    Returns (report, per_frame): the report holds only JSON values, and
-    per_frame maps each config name to evaluate_frames' arrays. A baseline
-    that names no config is refused before any training.
-    """
-    if baseline is not None and baseline not in configs:
-        raise ValueError(f"baseline {baseline!r} is not one of the configs")
-    rng = np.random.default_rng(seed)
-    train_seed, test_seed, lifter_seed, boot_seed = rng.integers(0, 2**31, size=4)
-
-    report: dict = {
-        "seed": seed,
-        "n_train": n_train,
-        "n_test": n_test,
-        "configs": {},
-    }
-    train_frames = generate_frames(
-        skeleton, camera, n_train, CorruptionSpec(), int(train_seed),
-        depth_range=depth_range,
-    )
-    model, report["train_loss"] = train_lifter(
-        [f.pose_2d for f in train_frames],
-        [f.pose_3d for f in train_frames],
-        replace(train_config, seed=int(lifter_seed)),
-    )
-
-    test_frames = generate_frames(
-        skeleton, camera, n_test, corruption, int(test_seed),
-        depth_range=depth_range,
-    )
-    per_frame = {}
-    for name, config in configs.items():
-        metrics = evaluate_frames(test_frames, model, config, camera)
-        per_frame[name] = metrics
-        report["configs"][name] = {
-            "mpjpe_mean": float(metrics["mpjpe"].mean()),
-            "similarity_mean": float(metrics["similarity"].mean()),
-            "error_2d_mean": float(metrics["error_2d"].mean()),
-        }
-
-    if baseline is not None:
-        boot_rng = np.random.default_rng(int(boot_seed))
-        report["deltas_vs_baseline"] = {}
-        for name, metrics in per_frame.items():
-            if name == baseline:
-                continue
-            delta = metrics["mpjpe"] - per_frame[baseline]["mpjpe"]
-            lo, hi = bootstrap_mean_ci(delta, boot_rng)
-            report["deltas_vs_baseline"][name] = {
-                "mpjpe_delta_mean": float(delta.mean()),
-                "ci95": [lo, hi],
-            }
-    return report, per_frame

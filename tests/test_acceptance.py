@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from harness import mean_bone_length, run_benchmark
 from poselift.cli import main as cli_main
 from poselift.geometry import (
     CameraModel,
@@ -44,7 +45,6 @@ from poselift.synth import (
     default_skeleton,
     generate_frames,
     place_subject,
-    run_benchmark,
     sample_pose,
 )
 
@@ -203,7 +203,7 @@ def test_criterion_4_lifter_learnability():
     full_err = evaluate(full_model)
     norm_err = evaluate(norm_model)
 
-    assert full_err < 0.2 * skeleton.mean_bone_length
+    assert full_err < 0.2 * mean_bone_length(skeleton)
     assert full_err < norm_err
     assert time.perf_counter() - start < 600.0
 

@@ -289,8 +289,10 @@ class TestTrainLifter:
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "joints", ["[[1, 2], [3]]", '[[1, 2], [3, "a"]]', "[[1, 2], [NaN, 4]]"],
-        ids=["ragged", "non-numeric", "nan"],
+        "joints",
+        ["[[1, 2], [3]]", '[[1, 2], [3, "a"]]', "[[1, 2], [NaN, 4]]", '[[1, 2], [3, "4"]]',
+         "[[1, 2], [true, 4]]"],
+        ids=["ragged", "non-numeric", "nan", "numeric-string", "boolean"],
     )
     def test_malformed_pose_file_is_data_error(self, tmp_path, capsys, joints):
         data = synth_dataset(tmp_path / "data", frames=4)

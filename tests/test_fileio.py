@@ -77,8 +77,11 @@ class TestPoses:
             "[[1, 2], [3, Infinity]]",
             "[[-Infinity, 2], [3, 4]]",
             "[[1, 2], [3, 1e999]]",  # overflows to inf
+            '[[1, 2], [3, "4"]]',  # numpy would read the string as 4
+            "[[1, 2], [true, 4]]",  # and true as 1
         ],
-        ids=["ragged", "non-numeric", "nan", "infinity", "minus-infinity", "overflow"],
+        ids=["ragged", "non-numeric", "nan", "infinity", "minus-infinity", "overflow",
+             "numeric-string", "boolean"],
     )
     def test_malformed_joints_name_file_and_line(self, tmp_path, joints):
         path = tmp_path / "poses.jsonl"
@@ -88,6 +91,27 @@ class TestPoses:
         )
         with pytest.raises(DataFormatError, match=f"{path}:3: "):
             load_poses(path, dim=2)
+
+    @pytest.mark.parametrize(
+        "frame", ["1.5", "true", '"2"', "1e20"], ids=["fraction", "boolean", "string", "exponent"]
+    )
+    def test_frame_not_an_integer_names_file_and_line(self, tmp_path, frame):
+        path = tmp_path / "poses.jsonl"
+        path.write_text(
+            '{"frame": 0, "joints": [[1, 2], [3, 4]]}\n'
+            f'{{"frame": {frame}, "joints": [[1, 2], [3, 4]]}}\n'
+        )
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: ")):
+            load_poses(path, dim=2)
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        # any JSON integer that a float64 holds, frame indices of any size
+        path = tmp_path / "poses.jsonl"
+        big = 10**300
+        path.write_text(f'{{"frame": {10**30}, "joints": [[1, -2], [{big}, 0]]}}\n')
+        frames, poses = load_poses(path, dim=2)
+        assert frames == [10**30]
+        np.testing.assert_array_equal(poses[0], [[1.0, -2.0], [float(big), 0.0]])
 
     def test_repeated_frame_names_file_and_line(self, tmp_path):
         path = tmp_path / "poses.jsonl"
@@ -126,7 +150,9 @@ class TestCamera:
             load_camera(path)
 
     @pytest.mark.parametrize(
-        "key, value", [("fx", "NaN"), ("fx", "1e309"), ("cy", "-Infinity")]
+        "key, value",
+        # and values that are not JSON numbers, which float() would take
+        [("fx", "NaN"), ("fx", "1e309"), ("cy", "-Infinity"), ("fx", '"1150"'), ("cy", "true")],
     )
     def test_non_finite_intrinsics(self, tmp_path, key, value):
         fields = {"fx": "1000", "fy": "1000", "cx": "500", "cy": "500"}
@@ -137,6 +163,11 @@ class TestCamera:
         )
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_camera(path)
+
+    def test_integer_intrinsics(self, tmp_path):
+        path = tmp_path / "camera.json"
+        path.write_text('{"fx": 1150, "fy": 1100, "cx": 500, "cy": -3}\n')
+        assert load_camera(path) == CameraModel(fx=1150.0, fy=1100.0, cx=500.0, cy=-3.0)
 
     def test_integer_too_large_for_a_float(self, tmp_path):
         path = tmp_path / "camera.json"
@@ -282,6 +313,22 @@ class TestManifest:
         path.write_text("0\tok.hmv\nno-tab-here\n")
         with pytest.raises(DataFormatError):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "frame",
+        ["1_000", " 7 ", "+3", "\uff11"],
+        ids=["underscore", "spaces", "plus", "fullwidth"],
+    )
+    def test_frame_index_not_digits_names_file_and_line(self, tmp_path, frame):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"0\ta.hmv\n{frame}\tb.hmv\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: ")):
+            load_manifest(path)
+
+    def test_negative_frame_index(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("-3\ta.hmv\n12\tb.hmv\n")
+        assert load_manifest(path) == [(-3, "a.hmv"), (12, "b.hmv")]
 
     def test_repeated_frame(self, tmp_path):
         path = tmp_path / "manifest.tsv"

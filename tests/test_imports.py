@@ -1,10 +1,13 @@
-"""No poselift module imports a name that it never uses, or anything but
-the standard library, numpy and its own modules."""
+"""No poselift module imports a name that it never uses, anything but the
+standard library, numpy and its own modules, or a module above its layer;
+and the package holds only what the pipeline, the CLI and the bench read."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import poselift
@@ -14,6 +17,29 @@ PACKAGE = Path(poselift.__file__).parent
 # imported only so that bench/spans.py can wrap them under these names; each
 # entry goes once the bench stops naming it
 BENCH_PINNED = {"cli.generate_frames", "inference.normalize_pose"}
+
+# the bench's own code, its smoke tests left out
+BENCH = [
+    path
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    if not path.name.startswith("test_")
+]
+
+# the poselift modules that each module may import: the synthetic data sits
+# beside the file formats, on the heat maps and geometry, below the pipeline
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "geometry": set(),
+    "heatmaps": {"geometry"},
+    "nbest": {"geometry"},
+    "fileio": {"geometry", "heatmaps"},
+    "synth": {"geometry", "heatmaps"},
+    "lifter": {"fileio", "geometry"},
+    "inference": {"geometry", "heatmaps", "lifter", "nbest"},
+    "cli": {"fileio", "geometry", "inference", "lifter", "synth"},
+}
+
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def unused_imports(path):
@@ -40,6 +66,85 @@ def imported_packages(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     return found
+
+
+def package_imports(path):
+    """The poselift modules that the module at `path` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import fileio
+                found.update(a.name for a in node.names)
+    return found
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(name, node) of each module-level function, class and constant, and
+    of each non-dunder method or property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not is_dunder(name.id):
+                        yield name.id, node
+
+
+def reads(node):
+    """How often each name is read under `node`: as a variable, as an
+    attribute, or as a part of a dotted string, the form in which
+    bench/spans.py names what it wraps."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+        elif (
+            isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and DOTTED_NAME.fullmatch(sub.value)
+        ):
+            found.update(sub.value.split("."))
+    return found
+
+
+def test_package_keeps_only_what_runs():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*sorted(PACKAGE.glob("*.py")), *BENCH]
+    }
+    read = sum((reads(tree) for tree in trees.values()), Counter())
+    unread = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, node in definitions(trees[path])
+        if read[name] - reads(node)[name] <= 0
+    }
+    assert not unread
+
+
+def test_modules_import_only_their_layers():
+    found = {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(found) == set(ALLOWED_IMPORTS)
+    above = {
+        f"{module}: {name}"
+        for module, names in found.items()
+        for name in names - ALLOWED_IMPORTS[module]
+    }
+    assert not above
 
 
 def test_every_import_is_used():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import harness
 import synth_reference as ref
 from poselift import synth
 from poselift.fileio import load_volume, save_volume
@@ -20,14 +21,12 @@ from poselift.lifter import LifterTrainConfig
 from poselift.synth import (
     CorruptionSpec,
     SkeletonSpec,
-    bootstrap_mean_ci,
     check_depth_range,
     default_camera,
     default_skeleton,
     generate_frames,
     make_frame,
     place_subject,
-    run_benchmark,
     sample_pose,
     subject_reach,
 )
@@ -40,7 +39,7 @@ class TestSkeletonSpec:
         spec = default_skeleton()
         assert spec.num_joints == 17
         assert spec.parents[0] == -1
-        assert spec.mean_bone_length == pytest.approx(
+        assert harness.mean_bone_length(spec) == pytest.approx(
             np.mean(np.asarray(spec.bone_lengths)[1:])
         )
 
@@ -394,13 +393,13 @@ class TestGenerateFrames:
 class TestBootstrap:
     def test_degenerate_constant_samples(self):
         rng = np.random.default_rng(0)
-        lo, hi = bootstrap_mean_ci(np.full(50, 3.25), rng)
+        lo, hi = harness.bootstrap_mean_ci(np.full(50, 3.25), rng)
         assert lo == pytest.approx(3.25) and hi == pytest.approx(3.25)
 
     def test_interval_brackets_true_mean(self):
         rng = np.random.default_rng(1)
         samples = rng.normal(10.0, 2.0, size=400)
-        lo, hi = bootstrap_mean_ci(samples, rng)
+        lo, hi = harness.bootstrap_mean_ci(samples, rng)
         assert lo < samples.mean() < hi
         assert hi - lo < 1.0  # ~4 se at n=400
 
@@ -413,7 +412,7 @@ class TestRunBenchmark:
     TRAIN = LifterTrainConfig(epochs=3, hidden_sizes=(32,))
 
     def run(self, **kw):
-        return run_benchmark(
+        return harness.run_benchmark(
             default_skeleton(),
             default_camera(),
             n_train=20,
@@ -452,9 +451,9 @@ class TestRunBenchmark:
 
     def test_unknown_baseline_refused_before_training(self, monkeypatch):
         trained = []
-        monkeypatch.setattr(synth, "train_lifter", lambda *args: trained.append(args))
+        monkeypatch.setattr(harness, "train_lifter", lambda *args: trained.append(args))
         with pytest.raises(ValueError, match="baseline 'gredy'"):
-            run_benchmark(
+            harness.run_benchmark(
                 default_skeleton(), default_camera(), n_train=20, n_test=5,
                 configs=self.CONFIGS, seed=0, train_config=self.TRAIN,
                 baseline="gredy",
@@ -464,13 +463,13 @@ class TestRunBenchmark:
     def test_empty_test_split_refused(self):
         # not a report of NaN means: its values must all be JSON
         with pytest.raises(ValueError, match="frame count"):
-            run_benchmark(
+            harness.run_benchmark(
                 default_skeleton(), default_camera(), n_train=20, n_test=0,
                 configs=self.CONFIGS, seed=0, train_config=self.TRAIN,
             )
 
     def test_clean_frames_have_subpixel_2d_error(self):
-        report, _ = run_benchmark(
+        report, _ = harness.run_benchmark(
             default_skeleton(),
             default_camera(),
             n_train=20,
