@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,7 +34,11 @@ from .inference import (
     infer,
 )
 from .lifter import (
+    BATCH_SIZE,
     INPUT_MODES,
+    LEARNING_RATE,
+    MOMENTUM,
+    NOISE_STD,
     LifterTrainConfig,
     TrainingDivergedError,
     load_model,
@@ -106,11 +111,19 @@ def _config_flags(path, parser, command) -> list[str]:
     return flags
 
 
+def _digits(text: str) -> int:
+    """int(text) if text is a fileio.FRAME_INDEX (the manifest rule), else
+    ValueError: int() alone also reads " 7", "+3", "1_000" and "１"."""
+    if not fileio.FRAME_INDEX.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _int(text: str) -> int:
     """Type of the integer options: sizes and counts meet float arithmetic,
     so one that a float cannot hold is refused before anything is written."""
     try:
-        value = int(text)
+        value = _digits(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if abs(value) > sys.float_info.max:
@@ -120,17 +133,24 @@ def _int(text: str) -> int:
 
 def _seed(text: str) -> int:
     """Type of --seed: an integer >= 0, of any size (numpy takes it as it is)."""
-    try:
-        if int(text) >= 0:
+    with contextlib.suppress(ValueError):
+        if _digits(text) >= 0:
             return int(text)
-    except ValueError:
-        pass
     raise argparse.ArgumentTypeError(f"a seed is an integer >= 0, got {text!r}")
 
 
+def _float(text: str) -> float:
+    """Type of the real-valued options: what float() reads, less the
+    non-ASCII characters, whitespace and underscores that it also takes."""
+    if text.isascii() and not re.search(r"[\s_]", text):
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _sizes(text: str) -> tuple[int, ...]:
-    """Type of --hidden-sizes: comma-separated integers."""
-    return tuple(_int(s) for s in text.split(",") if s)
+    """Type of --hidden-sizes: comma-separated integers; "" is no hidden layer."""
+    return tuple(_int(s) for s in text.split(",")) if text else ()
 
 
 def build_parser() -> _Parser:
@@ -144,11 +164,7 @@ def build_parser() -> _Parser:
     p.add_argument("--poses-2d", required=False)
     p.add_argument("--poses-3d", required=False)
     p.add_argument("--out", required=False, help="output model file")
-    p.add_argument("--learning-rate", type=float, default=LifterTrainConfig.learning_rate)
-    p.add_argument("--momentum", type=float, default=LifterTrainConfig.momentum)
     p.add_argument("--epochs", type=_int, default=LifterTrainConfig.epochs)
-    p.add_argument("--noise-std", type=float, default=LifterTrainConfig.noise_std)
-    p.add_argument("--batch-size", type=_int, default=LifterTrainConfig.batch_size)
     p.add_argument("--hidden-sizes", type=_sizes, default=LifterTrainConfig.hidden_sizes)
     p.add_argument("--input-mode", choices=INPUT_MODES, default=LifterTrainConfig.input_mode)
 
@@ -157,8 +173,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=False)
     p.add_argument("--camera", help="camera file (perspective prior only)")
     p.add_argument("--out-dir", required=False)
-    p.add_argument("--prior-strength", type=float, default=InferenceConfig.prior_strength)
-    p.add_argument("--bandwidth", type=float, default=InferenceConfig.bandwidth)
+    p.add_argument("--prior-strength", type=_float, default=InferenceConfig.prior_strength)
+    p.add_argument("--bandwidth", type=_float, default=InferenceConfig.bandwidth)
     p.add_argument("--num-candidates", type=_int, default=InferenceConfig.num_candidates)
     p.add_argument("--prior", choices=PRIOR_MODES, default=InferenceConfig.prior_mode)
     p.add_argument("--generator", choices=GENERATORS, default=InferenceConfig.generator)
@@ -176,11 +192,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=False)
     p.add_argument("--frames", type=_int, default=100)
     p.add_argument("--grid-size", type=_int, default=GRID_SIZE)
-    p.add_argument("--depth-min", type=float, default=DEPTH_RANGE[0])
-    p.add_argument("--depth-max", type=float, default=DEPTH_RANGE[1])
-    p.add_argument("--distractor-prob", type=float, default=CorruptionSpec.distractor_prob)
-    p.add_argument("--distractor-strength", type=float, default=CorruptionSpec.strength)
-    p.add_argument("--noise-floor", type=float, default=CorruptionSpec.noise_floor)
+    p.add_argument("--depth-min", type=_float, default=DEPTH_RANGE[0])
+    p.add_argument("--depth-max", type=_float, default=DEPTH_RANGE[1])
+    p.add_argument("--distractor-prob", type=_float, default=CorruptionSpec.distractor_prob)
+    p.add_argument("--distractor-strength", type=_float, default=CorruptionSpec.strength)
+    p.add_argument("--noise-floor", type=_float, default=CorruptionSpec.noise_floor)
     p.add_argument("--overwrite", action="store_true")
     return parser
 
@@ -230,11 +246,7 @@ def cmd_train_lifter(args) -> int:
     _require(args, "poses-2d", "poses-3d", "out")
     with _option_values():
         config = LifterTrainConfig(
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
             epochs=args.epochs,
-            noise_std=args.noise_std,
-            batch_size=args.batch_size,
             hidden_sizes=args.hidden_sizes,
             input_mode=args.input_mode,
             seed=args.seed,
@@ -255,9 +267,12 @@ def cmd_train_lifter(args) -> int:
         "final_loss": final_loss,
         "train_frames": len(poses_2d),
         "config": {  # hidden_sizes and input_mode are reported above
-            key: value
-            for key, value in dataclasses.asdict(config).items()
-            if key not in ("hidden_sizes", "input_mode")
+            "learning_rate": LEARNING_RATE,
+            "momentum": MOMENTUM,
+            "epochs": config.epochs,
+            "noise_std": NOISE_STD,
+            "batch_size": BATCH_SIZE,
+            "seed": config.seed,
         },
     }
     fileio.atomic_write_text(

@@ -27,14 +27,20 @@ MODEL_VERSION = 1
 POSITION_INPUT_SCALE = 256.0
 
 # training runs in a scaled target space (millimeters / TARGET_SCALE) so the
-# MSE gradients match the O(1) inputs at the configured learning rate; the
-# scale is folded back into the last layer before the model is returned
+# MSE gradients match the O(1) inputs at LEARNING_RATE; the scale is folded
+# back into the last layer before the model is returned
 TARGET_SCALE = 256.0
 
 # input layouts: normalized joints only, or joints plus mean and scale
 INPUT_FULL = "full"
 INPUT_NORMALIZED = "normalized"
 INPUT_MODES = (INPUT_FULL, INPUT_NORMALIZED)
+
+# the one training schedule; no workload, criterion or pipeline path varies it
+LEARNING_RATE = 1e-3
+MOMENTUM = 0.9
+NOISE_STD = 0.1  # Gaussian noise on the normalized 2D joints
+BATCH_SIZE = 64
 
 
 def check_input_mode(mode) -> None:
@@ -108,25 +114,13 @@ class LifterModel:
 
 @dataclass(frozen=True)
 class LifterTrainConfig:
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
     epochs: int = 200
-    noise_std: float = 0.1
-    batch_size: int = 64
     hidden_sizes: tuple[int, ...] = (256, 256)
     input_mode: str = INPUT_FULL
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails them too
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning rate must be finite and positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError("noise std must be finite and non-negative")
         check_count(self.epochs, "epochs")
-        check_count(self.batch_size, "batch_size")
         for width in self.hidden_sizes:
             check_count(width, "each of hidden_sizes")
         check_input_mode(self.input_mode)
@@ -249,7 +243,7 @@ def train_lifter(
     velocities = [np.zeros_like(p) for p in params]
 
     n = len(inputs)
-    batch = min(config.batch_size, n)
+    batch = min(BATCH_SIZE, n)
     final_loss = np.inf
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -257,22 +251,21 @@ def train_lifter(
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             x = inputs[idx]
-            if config.noise_std > 0:
-                x[:, :noise_cols] += rng.normal(
-                    0.0, config.noise_std, size=(len(idx), noise_cols)
-                )
+            x[:, :noise_cols] += rng.normal(
+                0.0, NOISE_STD, size=(len(idx), noise_cols)
+            )
             loss, w_grads, b_grads = loss_and_gradients(
                 weights, biases, x, targets[idx]
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"non-finite loss {loss} (lr={config.learning_rate})"
+                    f"non-finite loss {loss} (lr={LEARNING_RATE})"
                 )
             epoch_loss += loss * len(idx)
             # classical momentum, v = momentum * v - lr * g, then p += v
             for p, v, g in zip(params, velocities, w_grads + b_grads):
-                g *= config.learning_rate
-                v *= config.momentum
+                g *= LEARNING_RATE
+                v *= MOMENTUM
                 v -= g
                 p += v
         final_loss = epoch_loss / n

@@ -8,6 +8,7 @@ eye, so the tests hold the production trainer to it bit for bit.
 
 import numpy as np
 
+from poselift import lifter
 from poselift.geometry import normalize_pose
 from poselift.lifter import (
     INPUT_FULL,
@@ -64,7 +65,9 @@ def prepare_training_data(poses_2d, poses_3d):
 
 def train_lifter(poses_2d, poses_3d, config):
     """(weights, biases, mean_offset, final_loss) with the production
-    trainer's meaning: last layer in millimeters, loss in mm^2."""
+    trainer's meaning: last layer in millimeters, loss in mm^2. The schedule
+    is read from the lifter module at call time, so a test that patches one
+    of its constants patches both trainers."""
     num_joints = len(np.asarray(poses_2d[0]))
     flat, means, scales, targets, centroids = prepare_training_data(
         poses_2d, poses_3d
@@ -77,7 +80,8 @@ def train_lifter(poses_2d, poses_3d, config):
     b_vel = [np.zeros_like(b) for b in biases]
 
     n = len(flat)
-    batch = min(config.batch_size, n)
+    batch = min(lifter.BATCH_SIZE, n)
+    lr, momentum = lifter.LEARNING_RATE, lifter.MOMENTUM
     final_loss = np.inf
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -85,8 +89,7 @@ def train_lifter(poses_2d, poses_3d, config):
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             x = flat[idx]
-            if config.noise_std > 0:
-                x = x + rng.normal(0.0, config.noise_std, size=x.shape)
+            x = x + rng.normal(0.0, lifter.NOISE_STD, size=x.shape)
             if config.input_mode == INPUT_FULL:
                 extra = (
                     np.concatenate([means[idx], scales[idx, None]], axis=1)
@@ -98,8 +101,8 @@ def train_lifter(poses_2d, poses_3d, config):
             )
             epoch_loss += loss * len(idx)
             for i in range(len(weights)):
-                w_vel[i] = config.momentum * w_vel[i] - config.learning_rate * w_grads[i]
-                b_vel[i] = config.momentum * b_vel[i] - config.learning_rate * b_grads[i]
+                w_vel[i] = momentum * w_vel[i] - lr * w_grads[i]
+                b_vel[i] = momentum * b_vel[i] - lr * b_grads[i]
                 weights[i] = weights[i] + w_vel[i]
                 biases[i] = biases[i] + b_vel[i]
         final_loss = epoch_loss / n

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,11 +129,16 @@ class TestSynth:
          ("--grid-size", OVERFLOW),
          ("--grid-size", str(2**32)), ("--grid-size", str(10**300)),
          ("--noise-floor", "1e39"),
-         ("--distractor-prob", "1", "--distractor-strength", "1e300")],
+         ("--distractor-prob", "1", "--distractor-strength", "1e300"),
+         ("--frames", "１"), ("--frames", " 1 "), ("--frames", "1_0"), ("--seed", "+3"),
+         ("--noise-floor", "０.０２"), ("--distractor-prob", " 0.5 "),
+         ("--distractor-strength", "1_1")],
         ids=["nan-noise", "inf-strength", "nan-depth", "negative-depth",
              "behind-camera", "partly-behind-camera", "overflowing-grid-size",
              "grid-size-over-uint32", "huge-grid-size", "overflowing-noise",
-             "overflowing-strength"],
+             "overflowing-strength", "fullwidth-frames", "spaced-frames",
+             "underscored-frames", "signed-seed", "fullwidth-noise", "spaced-prob",
+             "underscored-strength"],
     )
     def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
@@ -223,8 +228,8 @@ class TestTrainLifter:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--learning-rate", "nan"), ("--noise-std", "inf"), ("--hidden-sizes", OVERFLOW)],
-        ids=["nan-lr", "inf-noise", "overflowing-hidden-sizes"],
+        [("--hidden-sizes", OVERFLOW), ("--hidden-sizes", "8,,8"), ("--epochs", "+2")],
+        ids=["overflowing-hidden-sizes", "empty-hidden-size", "signed-epochs"],
     )
     def test_non_finite_values_are_usage_errors(self, tmp_path, capsys, flags):
         data = synth_dataset(tmp_path / "data", frames=3)
@@ -312,18 +317,22 @@ class TestTrainLifter:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # finite poses whose scale overflows the squared error
         data = synth_dataset(tmp_path / "data", frames=5)
+        for name, dim in (("poses_2d.jsonl", 2), ("poses_3d.jsonl", 3)):
+            frames, poses = load_poses(data / name, dim=dim)
+            save_poses(data / name, [p * 1e100 for p in poses], frames)
         code = run(
             "train-lifter",
             "--poses-2d", str(data / "poses_2d.jsonl"),
             "--poses-3d", str(data / "poses_3d.jsonl"),
             "--out", str(tmp_path / "model.bin"),
-            "--learning-rate", "1e30",
-            "--epochs", "100",
+            "--epochs", "2",
             "--hidden-sizes", "8",
         )
         assert code == EXIT_NUMERICAL
+        assert "non-finite loss" in capsys.readouterr().err
         assert not (tmp_path / "model.bin").exists()
 
     def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
@@ -931,9 +940,10 @@ class TestConfigFile:
             ({"bandwidth": "x"}, "argument --bandwidth: invalid float value"),
             ({"prior": "bogus"}, "argument --prior: invalid choice"),
             ({"num-candidates": 2.5}, "argument --num-candidates: invalid int"),
+            ({"num-candidates": "+8"}, "argument --num-candidates: invalid int"),
             ({"overwrite": "yes"}, "'overwrite' must be true or false"),
         ],
-        ids=["bad-float", "bad-choice", "float-for-int", "non-bool-switch"],
+        ids=["bad-float", "bad-choice", "float-for-int", "signed-int", "non-bool-switch"],
     )
     def test_invalid_values_are_usage_errors(self, tmp_path, capsys, value, message):
         config = tmp_path / "config.json"
@@ -1072,36 +1082,37 @@ def option_actions(command):
 
 
 class TestUsage:
+    # the options that set a config field under another name
+    OPTION_OF_FIELD = {"prior_mode": "prior", "strength": "distractor_strength"}
+
     @pytest.mark.parametrize(
-        "command, defaults",
+        "command, config, others",
         [
-            ("train-lifter", {
-                "learning_rate": LifterTrainConfig().learning_rate,
-                "momentum": LifterTrainConfig().momentum,
-                "epochs": LifterTrainConfig().epochs,
-                "noise_std": LifterTrainConfig().noise_std,
-                "batch_size": LifterTrainConfig().batch_size,
-                "hidden_sizes": LifterTrainConfig().hidden_sizes,
-                "input_mode": LifterTrainConfig().input_mode,
-            }),
-            ("infer", {
-                "prior_strength": InferenceConfig().prior_strength,
-                "bandwidth": InferenceConfig().bandwidth,
-                "num_candidates": InferenceConfig().num_candidates,
-                "prior": InferenceConfig().prior_mode,
-                "generator": InferenceConfig().generator,
-            }),
-            ("synth", {
-                "distractor_prob": synth.CorruptionSpec().distractor_prob,
-                "distractor_strength": synth.CorruptionSpec().strength,
-                "noise_floor": synth.CorruptionSpec().noise_floor,
-                "grid_size": synth.GRID_SIZE,
+            ("train-lifter", LifterTrainConfig, {}),
+            ("infer", InferenceConfig, {}),
+            # synth's other options shape the data set, not its corruption
+            ("synth", synth.CorruptionSpec, {
+                "seed": 0, "frames": 100, "grid_size": synth.GRID_SIZE,
+                "depth_min": synth.DEPTH_RANGE[0], "depth_max": synth.DEPTH_RANGE[1],
+                "overwrite": False,
             }),
         ],
     )
-    def test_defaults_are_the_library_defaults(self, command, defaults):
+    def test_defaults_are_the_library_defaults(self, command, config, others):
+        """Every field of the command's config has an option whose default
+        is the field's, and every option with a default is a field or one of
+        `others`: a field without an option, or an option without a field,
+        fails."""
+        field_defaults = {
+            self.OPTION_OF_FIELD.get(f.name, f.name): f.default for f in fields(config)
+        }
         parsed = vars(cli.build_parser().parse_args([command]))
-        assert {dest: parsed[dest] for dest in defaults} == defaults
+        defaults = {
+            dest: value
+            for dest, value in parsed.items()
+            if dest != "command" and value is not None
+        }
+        assert defaults == {**field_defaults, **others}
 
     def test_docs_name_only_real_options(self):
         (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
@@ -1147,13 +1158,16 @@ class TestUsage:
     @pytest.mark.parametrize(
         "command, key, value",
         [("infer", "seed", 1), ("eval", "seed", 1), ("eval", "root-index", 0),
-         ("synth", "seed", -1), ("train-lifter", "seed", -1)],
+         ("synth", "seed", -1), ("train-lifter", "seed", -1),
+         ("train-lifter", "learning-rate", 0.001), ("train-lifter", "momentum", 0.9),
+         ("train-lifter", "noise-std", 0.1), ("train-lifter", "batch-size", 64)],
     )
     def test_retired_settings_and_negative_seeds_are_usage_errors(
         self, small_pipeline, tmp_path, capsys, command, key, value, from_config
     ):
-        """infer and eval draw no random numbers and eval's root is joint 0,
-        so these keys are unknown to them; a seed is never negative."""
+        """infer and eval draw no random numbers, eval's root is joint 0 and
+        the lifter trains on one fixed schedule, so these keys are unknown to
+        their commands, even at the old default; a seed is never negative."""
         data, out = small_pipeline, tmp_path / "out"
         argv = {
             "infer": ("--manifest", data / "manifest.txt", "--model", data / "model.bin",

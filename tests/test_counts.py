@@ -46,8 +46,6 @@ COUNTS = [
      "max_candidates", None),
     ("LifterTrainConfig.epochs", lambda n: LifterTrainConfig(epochs=n),
      "epochs", None),
-    ("LifterTrainConfig.batch_size", lambda n: LifterTrainConfig(batch_size=n),
-     "batch_size", None),
     ("LifterTrainConfig.hidden_sizes", lambda n: LifterTrainConfig(hidden_sizes=(8, n)),
      "hidden_sizes", None),
     ("generate_frames.count",

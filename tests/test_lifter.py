@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lifter_reference
+from poselift import lifter
 from poselift.fileio import DataFormatError
 from poselift.geometry import DegeneratePoseError
 from poselift.lifter import (
@@ -210,13 +211,12 @@ def small_dataset(rng, n=6, m=4):
 
 
 class TestTraining:
-    def test_single_pair_memorization(self):
+    def test_single_pair_memorization(self, monkeypatch):
         rng = np.random.default_rng(10)
         pose_2d = rng.uniform(0, 400, size=(4, 2))
         pose_3d = rng.normal(0, 300, size=(4, 3)) + (0, 0, 4000)
-        config = LifterTrainConfig(
-            epochs=3000, noise_std=0.0, hidden_sizes=(32, 32), seed=0
-        )
+        monkeypatch.setattr(lifter, "NOISE_STD", 0.0)
+        config = LifterTrainConfig(epochs=3000, hidden_sizes=(32, 32), seed=0)
         model, final_loss = train_lifter([pose_2d], [pose_3d], config)
         centered = pose_3d - pose_3d.mean(axis=0)
         # memorized: prediction error far below target magnitude (~300 mm)
@@ -277,36 +277,24 @@ class TestTraining:
             train_lifter(poses_2d, poses_3d[:-1], LifterTrainConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_raises(self):
+        # finite poses whose scale overflows the squared error
         rng = np.random.default_rng(16)
         poses_2d, poses_3d = small_dataset(rng)
-        config = LifterTrainConfig(
-            learning_rate=1e6, epochs=50, hidden_sizes=(16,), seed=0
-        )
-        with pytest.raises(TrainingDivergedError):
+        poses_2d = [p * 1e100 for p in poses_2d]
+        poses_3d = [p * 1e100 for p in poses_3d]
+        config = LifterTrainConfig(epochs=50, hidden_sizes=(16,), seed=0)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss"):
             train_lifter(poses_2d, poses_3d, config)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LifterTrainConfig(learning_rate=0)
-        with pytest.raises(ValueError):
-            LifterTrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            LifterTrainConfig(noise_std=-0.1)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -1),
+        [("epochs", 0), ("epochs", -3),
          ("hidden_sizes", (0,)), ("hidden_sizes", (16, 0)), ("hidden_sizes", (8, -2))],
     )
     def test_config_rejects_sizes_below_one(self, field, value):
         with pytest.raises(ValueError, match=field):
-            LifterTrainConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["learning_rate", "noise_std"])
-    def test_config_rejects_non_finite_values(self, field, value):
-        with pytest.raises(ValueError):
             LifterTrainConfig(**{field: value})
 
     def test_config_rejects_unknown_input_mode(self):
@@ -330,23 +318,26 @@ class TestReferenceTrainer:
     """The batched, in-place trainer against the per-pose, allocating
     reference in tests/lifter_reference.py, bit for bit."""
 
+    # each case patches the schedule constants that both trainers read
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, constants",
         [
-            dict(),
-            dict(noise_std=0.0),
-            dict(input_mode=INPUT_NORMALIZED),
-            dict(input_mode=INPUT_NORMALIZED, noise_std=0.0, hidden_sizes=(8, 4, 6)),
-            dict(batch_size=7),  # 7 does not divide 30
-            dict(batch_size=64),  # one batch holds every pair
+            (dict(), dict()),
+            (dict(), dict(NOISE_STD=0.0)),
+            (dict(input_mode=INPUT_NORMALIZED), dict()),
+            (dict(input_mode=INPUT_NORMALIZED, hidden_sizes=(8, 4, 6)), dict(NOISE_STD=0.0)),
+            (dict(), dict(BATCH_SIZE=7)),  # 7 does not divide 30
+            (dict(), dict(BATCH_SIZE=64)),  # one batch holds every pair
         ],
         ids=["full", "full-no-noise", "normalized", "normalized-no-noise-3-hidden",
              "ragged-batches", "single-batch"],
     )
-    def test_bit_identical_to_reference(self, overrides):
+    def test_bit_identical_to_reference(self, monkeypatch, overrides, constants):
+        for name, value in {"BATCH_SIZE": 8, **constants}.items():
+            monkeypatch.setattr(lifter, name, value)
         rng = np.random.default_rng(40)
         poses_2d, poses_3d = small_dataset(rng, n=30, m=5)
-        settings = dict(epochs=4, batch_size=8, hidden_sizes=(16, 12), seed=9)
+        settings = dict(epochs=4, hidden_sizes=(16, 12), seed=9)
         config = LifterTrainConfig(**{**settings, **overrides})
         model, loss = train_lifter(poses_2d, poses_3d, config)
         weights, biases, mean_offset, ref_loss = lifter_reference.train_lifter(
