@@ -99,12 +99,7 @@ def _config_flags(path, parser, command) -> list[str]:
         if dest not in defaults or dest in ("command", "config"):
             raise UsageError(f"unknown config key {key!r}")
         option = "--" + dest.replace("_", "-")
-        if isinstance(defaults[dest], bool):  # a store_true switch
-            if not isinstance(value, bool):
-                raise UsageError(f"config key {key!r} must be true or false")
-            if value:
-                flags.append(option)
-        elif value is not None:
+        if value is not None:
             if "\0" in str(value):  # no path or number holds one
                 raise UsageError(f"config key {key!r} holds a NUL byte")
             flags.append(f"{option}={value}")
@@ -197,7 +192,6 @@ def build_parser() -> _Parser:
     p.add_argument("--distractor-prob", type=_float, default=CorruptionSpec.distractor_prob)
     p.add_argument("--distractor-strength", type=_float, default=CorruptionSpec.strength)
     p.add_argument("--noise-floor", type=_float, default=CorruptionSpec.noise_floor)
-    p.add_argument("--overwrite", action="store_true")
     return parser
 
 
@@ -216,13 +210,27 @@ def _require(args, *names):
             raise UsageError(f"--{name} is required")
 
 
-def _require_out_dir(path):
-    """A single-file output must go to a directory that exists; checked
-    before any input is read, so no work is done for a file that cannot be
-    written."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise UsageError(f"--out {path}: directory {parent} does not exist")
+def _check_output(option, path, *, directory=False, empty=False):
+    """Refuses an output location that cannot be written, before any input
+    is read, so no work is done for it. A file output must not be a
+    directory and goes into a directory that exists. An output directory is
+    made, with its parents, only once the work is done, so it and the
+    nearest of its parents that exists must be directories; with `empty`,
+    it must also be new or empty."""
+    path = Path(path)
+    where = f"--{option} {path}"
+    if directory:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+    elif path.is_dir():
+        raise UsageError(f"{where}: is a directory")
+    elif not path.parent.exists():
+        raise UsageError(f"{where}: directory {path.parent} does not exist")
+    else:
+        nearest = path.parent
+    if not nearest.is_dir():
+        raise UsageError(f"{where}: {nearest} is not a directory")
+    if empty and path.is_dir() and any(path.iterdir()):
+        raise UsageError(f"{where}: exists and is not empty")
 
 
 def _load_paired(path_a, dim_a, path_b, dim_b):
@@ -251,13 +259,16 @@ def cmd_train_lifter(args) -> int:
             input_mode=args.input_mode,
             seed=args.seed,
         )
-    _require_out_dir(args.out)
+    out = Path(args.out)
+    _check_output("out", out)
+    sidecar = out.with_suffix(out.suffix + ".txt")
+    if sidecar.is_dir():
+        raise UsageError(f"--out {out}: its sidecar {sidecar} is a directory")
     _, poses_2d, poses_3d = _load_paired(args.poses_2d, 2, args.poses_3d, 3)
     try:
         model, final_loss = train_lifter(poses_2d, poses_3d, config)
     except DegeneratePoseError as e:  # "pose k" counts in frame order
         raise DataFormatError(f"{args.poses_2d}: {e}") from None
-    out = Path(args.out)
     save_model(model, out)
     summary = {
         "num_joints": model.num_joints,
@@ -275,10 +286,7 @@ def cmd_train_lifter(args) -> int:
             "seed": config.seed,
         },
     }
-    fileio.atomic_write_text(
-        out.with_suffix(out.suffix + ".txt"),
-        json.dumps(summary, indent=2) + "\n",
-    )
+    fileio.atomic_write_text(sidecar, json.dumps(summary, indent=2) + "\n")
     print(f"trained on {len(poses_2d)} frames, final loss {final_loss:.6f}")
     return EXIT_OK
 
@@ -295,6 +303,7 @@ def cmd_infer(args) -> int:
         )
     if config.prior_mode == PRIOR_PERSPECTIVE and not args.camera:
         raise UsageError("perspective prior requires --camera")
+    _check_output("out-dir", args.out_dir, directory=True)
     camera = fileio.load_camera(args.camera) if args.camera else None
     model = load_model(args.model)
     entries = fileio.load_manifest(args.manifest)
@@ -359,12 +368,17 @@ def _load_boxes(manifest_path):
 
 
 def cmd_eval(args) -> int:
-    have_3d = args.pred_3d and args.gt_3d
-    have_2d = args.pred_2d and args.gt_2d
+    have_3d, have_2d = bool(args.pred_3d), bool(args.pred_2d)
+    if have_3d != bool(args.gt_3d):
+        raise UsageError("--pred-3d and --gt-3d must be given together")
+    if have_2d != bool(args.gt_2d):
+        raise UsageError("--pred-2d and --gt-2d must be given together")
     if not have_3d and not have_2d:
         raise UsageError("need --pred-3d/--gt-3d and/or --pred-2d/--gt-2d")
+    if args.manifest and not have_2d:
+        raise UsageError("--manifest needs --pred-2d and --gt-2d")
     if args.out:
-        _require_out_dir(args.out)
+        _check_output("out", args.out)
     report: dict = {}
     if have_3d:
         frames, pred, gt = _load_paired(args.pred_3d, 3, args.gt_3d, 3)
@@ -409,9 +423,8 @@ def cmd_synth(args) -> int:
         check_grid_size(args.grid_size)
     except ValueError as e:
         raise UsageError(f"--grid-size: {e}") from None
+    _check_output("out-dir", args.out_dir, directory=True, empty=True)
     out_dir = Path(args.out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
-        raise UsageError(f"{out_dir} exists and is not empty (use --overwrite)")
 
     camera = default_camera()
     with _option_values():

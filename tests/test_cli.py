@@ -79,6 +79,23 @@ def train_model(dataset, out, epochs=3, seed=0, extra=()):
     return out
 
 
+def unwritable_file(tmp_path, case):
+    """An --out path under tmp_path that cannot be written, made as `case`
+    names, and the end of the usage error it draws."""
+    if case == "missing-directory":
+        out = tmp_path / "nodir" / "out.bin"
+        return out, f"directory {out.parent} does not exist"
+    if case == "directory":
+        (tmp_path / "out.bin").mkdir()
+        return tmp_path / "out.bin", "is a directory"
+    if case == "under-file":
+        (tmp_path / "file").write_text("")
+        return tmp_path / "file" / "out.bin", f"{tmp_path / 'file'} is not a directory"
+    assert case == "sidecar-directory"
+    (tmp_path / "out.bin.txt").mkdir()
+    return tmp_path / "out.bin", f"its sidecar {tmp_path / 'out.bin.txt'} is a directory"
+
+
 def _strict_json(path):
     """Parse a JSON file, or each line of a JSONL file, with NaN and
     Infinity rejected."""
@@ -115,10 +132,21 @@ class TestSynth:
         out = tmp_path / "data"
         synth_dataset(out, frames=1)
         assert run("synth", "--out-dir", str(out), "--frames", "1") == EXIT_USAGE
-        assert (
-            run("synth", "--out-dir", str(out), "--frames", "1", "--overwrite")
-            == EXIT_OK
-        )
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_cannot_be_made_is_refused_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        def frames(*args):
+            raise AssertionError("synthesized for a directory that cannot be made")
+
+        monkeypatch.setattr(cli, "_frames", frames)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "data" if under else blocker
+        assert run("synth", "--out-dir", str(out), "--frames", "1") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out-dir {out}: {blocker} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -246,26 +274,28 @@ class TestTrainLifter:
         assert_usage_error_names(capsys.readouterr().err, flags)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case", ["missing-directory", "directory", "under-file", "sidecar-directory"]
+    )
     def test_out_in_missing_directory_is_refused_before_training(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, case
     ):
         def train_lifter(*args):
             raise AssertionError("trained for an output that cannot be written")
 
         monkeypatch.setattr(cli, "train_lifter", train_lifter)
-        out = tmp_path / "nodir" / "model.bin"
+        out, message = unwritable_file(tmp_path, case)
+        before = sorted(tmp_path.rglob("*"))
         code = run(
             "train-lifter",
-            "--poses-2d", str(tmp_path / "missing.jsonl"),
+            "--poses-2d", str(tmp_path / "missing.jsonl"),  # a read would exit 2
             "--poses-3d", str(tmp_path / "missing3.jsonl"),
             "--out", str(out),
             "--epochs", "50",
         )
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: --out {out}: directory {out.parent} does not exist\n"
-        )
-        assert not out.parent.exists()
+        assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_byte_identical_model_files(self, tmp_path):
         data = synth_dataset(tmp_path / "data", frames=5)
@@ -692,6 +722,18 @@ class TestInfer:
         assert line.startswith("error: ") and bound in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_cannot_be_made_is_refused_before_reading(
+        self, tmp_path, capsys, under
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under else blocker
+        missing = tmp_path / "missing"  # reading the manifest, model or camera would exit 2
+        assert run(*self.infer_args(missing, missing / "model.bin", out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out-dir {out}: {blocker} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
     def test_nms_upscale_is_not_an_option(self, pipeline, capsys):
         tmp_path, data, model = pipeline
         out = tmp_path / "out"
@@ -773,14 +815,15 @@ class TestEval:
         rep = json.loads(report.read_text())
         assert rep["mpjpe"]["mean"] == pytest.approx(10.0)  # errors 0, 30, 0
 
-    def test_out_in_missing_directory_is_refused_before_reading(self, tmp_path, capsys):
-        out = tmp_path / "nodir" / "report.json"
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "under-file"])
+    def test_out_in_missing_directory_is_refused_before_reading(self, tmp_path, capsys, case):
+        out, message = unwritable_file(tmp_path, case)
+        before = sorted(tmp_path.rglob("*"))
         missing = str(tmp_path / "missing.jsonl")  # a read would exit 2
         code = run("eval", "--pred-3d", missing, "--gt-3d", missing, "--out", str(out))
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: --out {out}: directory {out.parent} does not exist\n"
-        )
+        assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_frame_mismatch(self, tmp_path):
         save_poses(tmp_path / "a.jsonl", [np.zeros((3, 3))], frames=[0])
@@ -831,8 +874,29 @@ class TestEval:
         assert code == EXIT_DATA
         assert f"{manifest}:2: NUL" in capsys.readouterr().err
 
-    def test_no_inputs(self):
-        assert run("eval") == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "names, message",
+        [((), "need --pred-3d/--gt-3d and/or --pred-2d/--gt-2d"),
+         (("pred-3d", "pred-2d", "gt-2d"), "--pred-3d and --gt-3d must be given together"),
+         (("gt-3d", "pred-2d", "gt-2d"), "--pred-3d and --gt-3d must be given together"),
+         (("pred-3d", "gt-3d", "pred-2d"), "--pred-2d and --gt-2d must be given together"),
+         (("pred-3d", "gt-3d", "gt-2d"), "--pred-2d and --gt-2d must be given together"),
+         (("pred-3d", "gt-3d", "manifest"), "--manifest needs --pred-2d and --gt-2d")],
+        ids=["nothing", "lone-pred-3d", "lone-gt-3d", "lone-pred-2d", "lone-gt-2d",
+             "manifest-without-2d"],
+    )
+    def test_no_inputs(self, small_pipeline, tmp_path, capsys, names, message):
+        """Half a pair, or a manifest without the 2D pair, would be left
+        unscored; each is a usage error and writes no report."""
+        files = {"pred-3d": "poses_3d.jsonl", "gt-3d": "poses_3d.jsonl",
+                 "pred-2d": "poses_2d.jsonl", "gt-2d": "poses_2d.jsonl",
+                 "manifest": "manifest.txt"}
+        flags = [arg for name in names for arg in (f"--{name}", str(small_pipeline / files[name]))]
+        report = tmp_path / "report.json"
+        capsys.readouterr()  # the fixture's own output
+        assert run("eval", *flags, "--out", str(report)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
 
     def test_manifest_boxes_are_read_without_map_data(self, pipeline):
         # map data made NaN: load_volume rejects these volumes, but eval
@@ -928,8 +992,7 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         out = tmp_path / "d"
         config.write_text(
-            json.dumps({"out-dir": str(out), "frames": "2", "grid-size": "8",
-                        "overwrite": True})
+            json.dumps({"out-dir": str(out), "frames": "2", "grid-size": "8"})
         )
         assert run("synth", "--config", str(config)) == EXIT_OK
         assert len(list((out / "volumes").iterdir())) == 2
@@ -941,15 +1004,13 @@ class TestConfigFile:
             ({"prior": "bogus"}, "argument --prior: invalid choice"),
             ({"num-candidates": 2.5}, "argument --num-candidates: invalid int"),
             ({"num-candidates": "+8"}, "argument --num-candidates: invalid int"),
-            ({"overwrite": "yes"}, "'overwrite' must be true or false"),
         ],
-        ids=["bad-float", "bad-choice", "float-for-int", "signed-int", "non-bool-switch"],
+        ids=["bad-float", "bad-choice", "float-for-int", "signed-int"],
     )
     def test_invalid_values_are_usage_errors(self, tmp_path, capsys, value, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(value))
-        command = "synth" if "overwrite" in value else "infer"
-        assert run(command, "--config", str(config)) == EXIT_USAGE
+        assert run("infer", "--config", str(config)) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -1094,7 +1155,6 @@ class TestUsage:
             ("synth", synth.CorruptionSpec, {
                 "seed": 0, "frames": 100, "grid_size": synth.GRID_SIZE,
                 "depth_min": synth.DEPTH_RANGE[0], "depth_max": synth.DEPTH_RANGE[1],
-                "overwrite": False,
             }),
         ],
     )
@@ -1160,14 +1220,17 @@ class TestUsage:
         [("infer", "seed", 1), ("eval", "seed", 1), ("eval", "root-index", 0),
          ("synth", "seed", -1), ("train-lifter", "seed", -1),
          ("train-lifter", "learning-rate", 0.001), ("train-lifter", "momentum", 0.9),
-         ("train-lifter", "noise-std", 0.1), ("train-lifter", "batch-size", 64)],
+         ("train-lifter", "noise-std", 0.1), ("train-lifter", "batch-size", 64),
+         ("synth", "overwrite", True)],
     )
     def test_retired_settings_and_negative_seeds_are_usage_errors(
         self, small_pipeline, tmp_path, capsys, command, key, value, from_config
     ):
-        """infer and eval draw no random numbers, eval's root is joint 0 and
-        the lifter trains on one fixed schedule, so these keys are unknown to
-        their commands, even at the old default; a seed is never negative."""
+        """infer and eval draw no random numbers, eval's root is joint 0, the
+        lifter trains on one fixed schedule and synth writes only into a new
+        or empty directory, so these keys are unknown to their commands, even
+        at the old default; a seed is never negative. A value of True stands
+        for a switch, given bare as a flag."""
         data, out = small_pipeline, tmp_path / "out"
         argv = {
             "infer": ("--manifest", data / "manifest.txt", "--model", data / "model.bin",
@@ -1179,7 +1242,7 @@ class TestUsage:
                              "--poses-3d", data / "poses_3d.jsonl", "--out", out,
                              "--epochs", "1", "--hidden-sizes", "8"),
         }[command]
-        flags = (f"--{key}", str(value))
+        flags = (f"--{key}",) if value is True else (f"--{key}", str(value))
         if from_config:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({key: value}))
