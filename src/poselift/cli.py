@@ -41,6 +41,7 @@ from .lifter import (
     NOISE_STD,
     LifterTrainConfig,
     TrainingDivergedError,
+    check_hidden_sizes,
     load_model,
     save_model,
     train_lifter,
@@ -144,8 +145,14 @@ def _float(text: str) -> float:
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    """Type of --hidden-sizes: comma-separated integers; "" is no hidden layer."""
-    return tuple(_int(s) for s in text.split(",")) if text else ()
+    """Type of --hidden-sizes: comma-separated integers that
+    lifter.check_hidden_sizes accepts; "" is no hidden layer."""
+    sizes = tuple(_int(s) for s in text.split(",")) if text else ()
+    try:
+        check_hidden_sizes(sizes)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return sizes
 
 
 def build_parser() -> _Parser:

@@ -137,6 +137,17 @@ _CELL_EDGES = 2
 _MASK_SLOTS = 1 << 20  # mask ids per base pixel in a state key
 _MASK_BLOCK = 256  # new masks resolved to row intervals at once
 
+# Trajectories that move out of one window state are merged while a merge
+# removes at least this share of the moving points. A merge costs about an
+# eighth of a step per point; at step 1 it removes 5-9% of the points of
+# distractor and clean frames and 0.1-0.5% on noise-floor frames, which so
+# pay for one merge. States are found in an owner table of 2^_OWNER_BITS
+# slots (128 KiB), indexed by the top bits of a multiplicative hash of the
+# state key (Fibonacci hashing).
+_MERGE_SHARE = 1 / 32
+_OWNER_BITS = 15
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
 # Trajectory points are rounded to this many decimals after every step, and
 # converged points once more when they are recorded. Points that round to
 # the same value take the same steps from there on and end in one recorded
@@ -443,6 +454,25 @@ def _first_occurrences(keys):
     return np.minimum.reduceat(order, starts)
 
 
+def _one_per_state(keys, owner):
+    """Indices of the points to keep of those with state keys keys: one
+    point per key, or more where keys collide in the owner table.
+
+    Each key hashes to a slot of owner, which every point there writes its
+    index to; a point is dropped when the slot's last writer is another
+    point with the same key. A collision can keep two points of one state,
+    never drop the only point of one. Only slots written in this call are
+    read, so owner needs no clearing between calls.
+    """
+    index = np.arange(len(keys), dtype=np.int32)
+    slot = keys.view(np.uint64) * _HASH_MULTIPLIER
+    slot >>= np.uint64(64 - _OWNER_BITS)  # the top bits: the multiplicative hash
+    slot = slot.view(np.intp)
+    owner[slot] = index
+    other = owner.take(slot)
+    return np.flatnonzero((other == index) | (keys.take(other) != keys))
+
+
 def _converge(grids, masks: _WindowMasks, sums: _RowSums):
     """Mean shift from every nonzero pixel to convergence.
 
@@ -452,6 +482,15 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
     target; after MAX_ITERATIONS steps a trajectory is recorded where it
     stands. Trajectories in the same window state have the same target, so
     recorded points are merged by state.
+
+    Trajectories that move out of one window state at a step are merged at
+    once, from step 1 on (the seeds are distinct pixels): the state fixes
+    the target bit for bit, so they land on one rounded point, take the
+    same steps from there and would record the same state and target at
+    the same step, at the iteration cap too. Merging stops for the rest of
+    the call once a merge removes less than _MERGE_SHARE of the moving
+    points, as on noise-floor frames, where it would cost more than it
+    saves.
     """
     joints, by, bx = np.nonzero(grids > 0)
     x, y = bx.astype(np.float64), by.astype(np.float64)
@@ -461,24 +500,35 @@ def _converge(grids, masks: _WindowMasks, sums: _RowSums):
     bx, by = x, y
     mask_ids = np.full(len(x), masks.seed_mask)
     record = [[], [], []]  # per recorded point: state key and target
+    owner = np.empty(1 << _OWNER_BITS, dtype=np.int32)
+    share = 1.0  # of the moving points, the share that the last merge removed
     for step in range(MAX_ITERATIONS):
         if step:
             bx, by, mask_ids = masks.states(x, y)
-        cells = base + (by * sums.width + bx).astype(np.intp)
-        tx, ty = sums.step(cells, bx, by, mask_ids)[:2]
+        keys = base + (by * sums.width + bx).astype(np.intp)  # table cells
+        tx, ty = sums.step(keys, bx, by, mask_ids)[:2]
+        keys *= _MASK_SLOTS
+        keys += mask_ids  # the window states
+        # dropped here and below: the next states() call sets the working
+        # set's peak
+        del bx, by, mask_ids
         moved = _moved(x, y, tx, ty)
         stop, go = np.flatnonzero(~moved), np.flatnonzero(moved)
-        key = cells.take(stop) * _MASK_SLOTS + mask_ids.take(stop)
-        for column, values in zip(record, (key, tx.take(stop), ty.take(stop))):
+        del moved
+        for column, values in zip(record, (keys.take(stop), tx.take(stop), ty.take(stop))):
             column.append(values)
-        x, y = (np.round(v, _ROUND_DECIMALS, out=v) for v in (tx.take(go), ty.take(go)))
-        base = base.take(go)
         if len(go) == 0:
             break
-    else:  # at the iteration cap: record the rest where they stand
-        key = cells.take(go) * _MASK_SLOTS + mask_ids.take(go)
-        for column, values in zip(record, (key, x, y)):
-            column.append(values)
+        if step and share >= _MERGE_SHARE:
+            kept = _one_per_state(keys.take(go), owner)
+            share = 1 - len(kept) / len(go)
+            go = go.take(kept)
+        x, y = (np.round(v, _ROUND_DECIMALS, out=v) for v in (tx.take(go), ty.take(go)))
+        base = base.take(go)
+        if step + 1 == MAX_ITERATIONS:  # at the cap: record the rest where they stand
+            for column, values in zip(record, (keys.take(go), x, y)):
+                column.append(values)
+        del tx, ty, stop, keys
     keys, tx, ty = (np.concatenate(c) for c in record)
     first = _first_occurrences(keys)
     x, y = (np.round(v, _ROUND_DECIMALS, out=v) for v in (tx[first], ty[first]))
@@ -616,14 +666,17 @@ def find_modes_volume(grids, bandwidth: float, max_candidates: int) -> list[Join
     trajectory, which is recorded at that step's target, and after 100
     steps a trajectory is recorded where it stands. Trajectories recorded
     from the same window state (base pixel and covered pixels) end at the
-    same point and are merged; no other points are merged. Each point is
-    scored by the flat-kernel density there and ranked by score, ties by
-    (y, x). Scores are floating-point window sums, so a tie is a tie only
-    when those sums come out bit-equal: densities that tie in exact
-    arithmetic can differ in the last bit (a grid that repeats a value
-    that is not dyadic) and then rank by that bit. Greedy suppression
-    keeps the strongest point of every
-    bandwidth/2 neighborhood, up to max_candidates; finally saddle stalls
+    same point and are merged; no other points are merged. Trajectories
+    that move out of one window state at the same step are merged at once,
+    which is exact: the state fixes the step's target bit for bit, so they
+    would take the same steps from there and be recorded together. Each
+    point is scored by the flat-kernel density there and ranked by score,
+    ties by (y, x). Scores are floating-point window sums, so a tie is a
+    tie only when those sums come out bit-equal: densities that tie in
+    exact arithmetic can differ in the last bit (a grid that repeats a
+    value that is not dyadic) and then rank by that bit. Greedy
+    suppression keeps the strongest point of every bandwidth/2
+    neighborhood, up to max_candidates; finally saddle stalls
     (kept points that are not local maxima of the shadow density, detected
     with probes at radius 0.5) are dropped, except the strongest point.
     The joints are independent; batching them only amortizes the

@@ -42,6 +42,20 @@ MOMENTUM = 0.9
 NOISE_STD = 0.1  # Gaussian noise on the normalized 2D joints
 BATCH_SIZE = 64
 
+# The hidden widths sum to at most this, which bounds the hidden-to-hidden
+# weights by 8192^2 / 4, about 16.8 M (128 MiB a copy), and the layer count
+# by 8,192; one width of 1e11 would ask for 27 TiB.
+MAX_HIDDEN_UNITS = 8192
+
+
+def check_hidden_sizes(sizes) -> None:
+    """ValueError unless every hidden width is an integer >= 1 and the
+    widths sum to at most MAX_HIDDEN_UNITS; () is no hidden layer."""
+    for width in sizes:
+        check_count(width, "each of hidden_sizes")
+    if sizes:
+        check_count(sum(sizes), "the sum of hidden_sizes", high=MAX_HIDDEN_UNITS)
+
 
 def check_input_mode(mode) -> None:
     """ValueError unless mode is one of INPUT_MODES."""
@@ -121,8 +135,7 @@ class LifterTrainConfig:
 
     def __post_init__(self):
         check_count(self.epochs, "epochs")
-        for width in self.hidden_sizes:
-            check_count(width, "each of hidden_sizes")
+        check_hidden_sizes(self.hidden_sizes)
         check_input_mode(self.input_mode)
 
 

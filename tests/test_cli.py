@@ -383,6 +383,29 @@ class TestTrainLifter:
     def test_missing_required_flag(self, tmp_path):
         assert run("train-lifter") == EXIT_USAGE
 
+    @pytest.mark.parametrize("where", ["flag", "config-key"])
+    def test_huge_hidden_sizes_are_refused_before_input_is_read(self, tmp_path, capsys, where):
+        """A width of 1e11 once ended in a failed allocation: it is a usage
+        error that names the flag, raised before the (missing) inputs
+        would be read."""
+        option = ["--hidden-sizes", "100000000000"]
+        if where == "config-key":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"hidden_sizes": "100000000000"}))
+            option = ["--config", str(config)]
+        code = run(
+            "train-lifter",
+            "--poses-2d", str(tmp_path / "missing.jsonl"),  # a read would exit 2
+            "--poses-3d", str(tmp_path / "missing3.jsonl"),
+            "--out", str(tmp_path / "model.bin"),
+            *option,
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: argument --hidden-sizes: the sum of hidden_sizes must be in [1, 8192]\n"
+        )
+        assert not (tmp_path / "model.bin").exists()
+
     def test_bad_hidden_sizes_is_usage_error(self, tmp_path, capsys):
         data = synth_dataset(tmp_path / "data", frames=3)
         code = run(

@@ -11,7 +11,7 @@ import pytest
 from poselift.geometry import BoundingBox, grid_to_image, image_to_grid
 from poselift.heatmaps import find_modes_nms, find_modes_volume, render_gaussian
 from poselift.inference import InferenceConfig
-from poselift.lifter import LifterTrainConfig
+from poselift.lifter import MAX_HIDDEN_UNITS, LifterTrainConfig
 from poselift.nbest import MAX_POSES, n_best_poses
 from poselift.synth import (
     CorruptionSpec,
@@ -47,7 +47,7 @@ COUNTS = [
     ("LifterTrainConfig.epochs", lambda n: LifterTrainConfig(epochs=n),
      "epochs", None),
     ("LifterTrainConfig.hidden_sizes", lambda n: LifterTrainConfig(hidden_sizes=(8, n)),
-     "hidden_sizes", None),
+     "hidden_sizes", MAX_HIDDEN_UNITS - 8),  # the widths' sum is bounded
     ("generate_frames.count",
      lambda n: generate_frames(default_skeleton(), default_camera(), n,
                                CorruptionSpec(), 0, grid_size=8),

@@ -380,6 +380,122 @@ def assert_close_pairs(x, y, groups, radius):
     np.testing.assert_array_equal(got, i[close] * len(x) + j[close])
 
 
+# Values of the merge gate: merging at every step from step 1, and never
+MERGING = {"forced": 0.0, "off": np.inf}
+
+
+def find_modes_merging(share, grids, bandwidth, max_candidates):
+    """find_modes_volume with the merge gate at share."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hm, "_MERGE_SHARE", share)
+        return find_modes_volume(grids, bandwidth, max_candidates)
+
+
+def assert_merging_is_exact(grids, bandwidth, max_candidates):
+    """Positions and values bit-identical with merging gated, forced at
+    every step and off."""
+    gated = find_modes_volume(grids, bandwidth, max_candidates)
+    for merging, share in MERGING.items():
+        got = find_modes_merging(share, grids, bandwidth, max_candidates)
+        for j, (a, b) in enumerate(zip(got, gated)):
+            np.testing.assert_array_equal(a.positions, b.positions, err_msg=f"{merging} {j}")
+            np.testing.assert_array_equal(a.values, b.values, err_msg=f"{merging} {j}")
+
+
+@pytest.fixture(scope="module")
+def criterion_9_maps():
+    frames = generate_frames(
+        default_skeleton(), default_camera(), 12, CorruptionSpec(noise_floor=0.02), seed=7
+    )
+    return [frame.volume.maps for frame in frames]
+
+
+@pytest.fixture(scope="module")
+def distractor_maps():
+    """24 criterion-5 frames: about one bump per joint, few distractors."""
+    frames = generate_frames(
+        default_skeleton(), default_camera(), 24,
+        CorruptionSpec(distractor_prob=0.15, strength=1.1), seed=1,
+    )
+    return [frame.volume.maps for frame in frames]
+
+
+def tie_heavy_grids():
+    """The grids of TestReferenceEngine.test_tie_heavy_grids."""
+    return np.random.default_rng(11).integers(0, 4, size=(4, 20, 24)).astype(np.float64)
+
+
+def rows_stepped(share, maps):
+    """Rows that _converge passes to _RowSums.step per volume, with the
+    merge gate at share: the point-steps of mean shift and the recorded
+    points' density sums."""
+    counts, step = [], hm._RowSums.step
+
+    def counted(self, cells, *args):
+        counts[-1] += len(cells)
+        return step(self, cells, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hm._RowSums, "step", counted)
+        for grids in maps:
+            counts.append(0)
+            find_modes_merging(share, grids, 3.0, 128)
+    return np.array(counts)
+
+
+class TestTrajectoryMerge:
+    """Trajectories that leave one window state together are merged: the
+    outputs are those of merging at every step and of no merging, bit for
+    bit, and distractor frames take fewer point-steps."""
+
+    def test_criterion_9_frames(self, criterion_9_maps):
+        for grids in criterion_9_maps:
+            assert_merging_is_exact(grids, 3.0, 128)
+
+    @pytest.mark.parametrize("bandwidth", [1.5, 3.0, 5.0])
+    def test_distractor_frames(self, distractor_maps, bandwidth):
+        for grids in distractor_maps:
+            assert_merging_is_exact(grids, bandwidth, 128)
+
+    @pytest.mark.parametrize("bandwidth, max_candidates", [(3.0, 12), (2.0, 40), (2.5, 200)])
+    def test_tie_heavy_grids(self, bandwidth, max_candidates):
+        assert_merging_is_exact(tie_heavy_grids(), bandwidth, max_candidates)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_iteration_cap(self, cap, distractor_maps, monkeypatch):
+        """Merged trajectories reach the cap together, and each state that
+        reaches it is recorded once."""
+        monkeypatch.setattr(hm, "MAX_ITERATIONS", cap)
+        for grids in [tie_heavy_grids()] + distractor_maps[:6]:
+            assert_merging_is_exact(grids, 3.0, 128)
+
+    def test_distractor_frames_take_fewer_steps(self, distractor_maps):
+        gated = rows_stepped(hm._MERGE_SHARE, distractor_maps)
+        off = rows_stepped(MERGING["off"], distractor_maps)
+        assert gated.sum() <= 0.65 * off.sum()  # 0.59 when written
+
+    def test_noise_frames_take_no_more_steps(self, criterion_9_maps):
+        gated = rows_stepped(hm._MERGE_SHARE, criterion_9_maps)
+        off = rows_stepped(MERGING["off"], criterion_9_maps)
+        assert np.all(gated <= off)
+
+    def test_one_point_per_state(self):
+        """Every key keeps a point, also when all keys share two slots; a
+        key repeated in one slot keeps one."""
+        rng = np.random.default_rng(15)
+        keys = rng.integers(0, 40, 500) << 20
+        kept = hm._one_per_state(keys, np.empty(1 << hm._OWNER_BITS, dtype=np.int32))
+        assert np.all(np.diff(kept) > 0)
+        np.testing.assert_array_equal(np.unique(keys[kept]), np.unique(keys))
+        assert len(kept) < 80  # at most a few collisions among 40 keys
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hm, "_OWNER_BITS", 1)
+            kept = hm._one_per_state(keys, np.empty(2, dtype=np.int32))
+        np.testing.assert_array_equal(np.unique(keys[kept]), np.unique(keys))
+        kept = hm._one_per_state(np.full(7, 5 << 20), np.empty(1 << hm._OWNER_BITS, dtype=np.int32))
+        assert len(kept) == 1
+
+
 class TestReferenceEngine:
     """The window-state engine against the plain batched mean shift in
     tests/modes_reference.py."""
@@ -519,6 +635,9 @@ class TestReferenceEngine:
     def test_random_grids(self, grids, bandwidth, max_candidates):
         assume(np.all(grids.reshape(len(grids), -1).max(axis=1) > 0))
         assert_matches_reference(grids, bandwidth, max_candidates)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hm, "_MERGE_SHARE", MERGING["forced"])
+            assert_matches_reference(grids, bandwidth, max_candidates)
 
     # no bench or criterion frame reaches the cap of 100 steps; at these
     # caps most trajectories are recorded where they stand
@@ -530,6 +649,8 @@ class TestReferenceEngine:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hm, "MAX_ITERATIONS", cap)
             patch.setattr(ref, "MAX_ITERATIONS", cap)
+            assert_matches_reference(grids, bandwidth, max_candidates)
+            patch.setattr(hm, "_MERGE_SHARE", MERGING["forced"])
             assert_matches_reference(grids, bandwidth, max_candidates)
 
     @pytest.mark.parametrize("seed", range(6))

@@ -297,6 +297,24 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             LifterTrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "sizes, accepted",
+        [((), True), ((8192,), True), ((4096, 4096), True), ((1,) * 8192, True),
+         ((8193,), False), ((4096, 4097), False), ((1,) * 8193, False),
+         ((10**11,), False)],
+        ids=["none", "one-layer", "two-layers", "most-layers",
+             "one-layer-over", "two-layers-over", "layers-over", "huge"],
+    )
+    def test_config_bounds_the_sum_of_hidden_widths(self, sizes, accepted):
+        """The widths sum to at most MAX_HIDDEN_UNITS, checked without
+        training."""
+        assert lifter.MAX_HIDDEN_UNITS == 8192
+        if accepted:
+            assert LifterTrainConfig(hidden_sizes=sizes).hidden_sizes == sizes
+        else:
+            with pytest.raises(ValueError, match=r"the sum of hidden_sizes must be in \[1, 8192\]"):
+                LifterTrainConfig(hidden_sizes=sizes)
+
     def test_config_rejects_unknown_input_mode(self):
         # the modes are case-sensitive: "Full" once trained the 34-wide
         # normalized layout and was saved as normalized
